@@ -35,7 +35,9 @@ prod |det D_i|^((-1)^u_i), available as the fast path.
 """
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -86,6 +88,9 @@ _TIER_LEVEL = {0: 0, 1: 0, 2: 1, 3: 2, 4: 2}
 
 _CIRCLE_LABELS = ("w", "z")
 _EXTREMAL_LABELS = ("p", "q", "r", "s")
+
+#: missing-connection pairs quoted per warning line
+_MISSING_EXAMPLES = 3
 
 
 @dataclass(frozen=True)
@@ -267,9 +272,11 @@ for _src, _dst in [
     _LICENSED[(_src, _dst)] = "d2"
 
 
-def connection_kind(model: BottModel, conn: GradientConnection) -> str:
-    """Classify a connection as a d1 or d2 component, or raise IllegalConnection."""
-    blocks = model.block_map()
+def connection_kind(blocks: dict, conn: GradientConnection) -> str:
+    """Classify a connection as a d1 or d2 component, or raise IllegalConnection.
+
+    blocks is the model's block_map(), built once by the caller.
+    """
     lo_block = blocks[conn.to_point[0]]
     hi_block = blocks[conn.from_point[0]]
     key = (
@@ -536,6 +543,11 @@ def expand_morse(model: BottModel) -> MorseData:
     1, 2, 2, 3 (maximal).
     """
     ensure_valid(model)
+    return _morse_layout(model)
+
+
+def _morse_layout(model: BottModel) -> MorseData:
+    """expand_morse for a model that has already been validated."""
     points: list[list[MorsePoint]] = [[], [], [], []]
     slot: dict = {}
     for block in model.blocks:
@@ -587,7 +599,7 @@ def assemble_complex(
             kd, rows_d = morse.fiber(m, block.id, dst)
             diffs[ks][rows_d, rows_s] += mat
     for conn in model.connections:
-        connection_kind(model, conn)
+        connection_kind(blocks, conn)
         ks, cols = morse.fiber(m, *conn.to_point)
         kd, rows = morse.fiber(m, *conn.from_point)
         diffs[ks][rows, cols] += conn.matrix(rep)
@@ -692,43 +704,69 @@ class D1Data:
     warnings: list
 
 
-def _missing_connection_warnings(model, supplied) -> list[str]:
-    """Licensed block point pairs with no connection data, in model order."""
+def _missing_connection_warnings(model: BottModel) -> list[str]:
+    """One line per kind (d1, d2) counting the licensed block point pairs with
+    no connection data and quoting the first few in model order.
+
+    Blocks are grouped by tier: the count is a product of group sizes less
+    the supplied pairs, and the example scan stops at the first gaps.
+    """
+    supplied = {(conn.to_point, conn.from_point) for conn in model.connections}
+    tier = {b.id: b.tier for b in model.blocks}
+    by_tier = {t: [] for t in _TIER_NAMES}
+    for bid, t in tier.items():
+        by_tier[t].append(bid)
+    have = Counter(((tier[lo], a), (tier[hi], b)) for (lo, a), (hi, b) in supplied)
     out = []
-    for lo in model.blocks:
-        for hi in model.blocks:
-            for (src, dst), kind in _LICENSED.items():
-                if (lo.tier, hi.tier) != (src[0], dst[0]):
-                    continue
-                pair = ((lo.id, src[1]), (hi.id, dst[1]))
-                if pair not in supplied:
-                    out.append(
-                        f"missing connection for {kind} pair "
-                        f"{hi.id}.{dst[1]} -> {lo.id}.{src[1]} (component set to zero)"
-                    )
+    for kind in ("d1", "d2"):
+        keys = [key for key, licensed in _LICENSED.items() if licensed == kind]
+        count = sum(len(by_tier[src[0]]) * len(by_tier[dst[0]]) - have[(src, dst)] for src, dst in keys)
+        if not count:
+            continue
+        # model order: tier order, list order within a tier, then _LICENSED order
+        gaps = (
+            f"{hi}.{dst[1]} -> {lo}.{src[1]}"
+            for lo_tier in sorted({src[0] for src, _ in keys})
+            for lo in by_tier[lo_tier]
+            for hi_tier in sorted({dst[0] for src, dst in keys if src[0] == lo_tier})
+            for hi in by_tier[hi_tier]
+            for src, dst in keys
+            if (src[0], dst[0]) == (lo_tier, hi_tier) and ((lo, src[1]), (hi, dst[1])) not in supplied
+        )
+        examples = list(itertools.islice(gaps, _MISSING_EXAMPLES))
+        out.append(
+            f"missing connection for {count} {kind} pair{'s' if count > 1 else ''} "
+            f"(components set to zero): {', '.join(examples)}"
+            + (", ..." if count > len(examples) else "")
+        )
     return out
 
 
 def assemble_d1(
-    model: BottModel, morse: Optional[MorseData] = None, tol_rel: float = DEFAULT_TOL
+    model: BottModel,
+    morse: Optional[MorseData] = None,
+    cohomologies: Optional[Sequence[BlockCohomology]] = None,
+    tol_rel: float = DEFAULT_TOL,
 ) -> D1Data:
     """First-page differentials from the licensed connection components.
 
     Components between blocks at consecutive filtration levels are the
     orbit sums of the supplied connections, restricted and projected onto
     the block cohomology bases. Licensed pairs with no connection default
-    to zero, with one warning each.
+    to zero; the warnings then hold one summary line per kind (d1, d2) with
+    the number of such pairs and the first few of them.
     """
     if morse is None:
         morse = expand_morse(model)
-    cohomologies = [block_cohomology(b, model.representation, tol_rel=tol_rel) for b in model.blocks]
+    if cohomologies is None:
+        cohomologies = [block_cohomology(b, model.representation, tol_rel=tol_rel) for b in model.blocks]
     fc = assemble_complex(model, morse, cohomologies, tol_rel=tol_rel)
     e1 = _build_e1(model, morse, cohomologies, fc.base.dims)
-    e1.anchor = fc.base.operator_scale()
+    # the operator norm assemble_complex anchored its rank decisions with
+    e1.anchor = fc.base.rank_scale
 
-    supplied = {(conn.to_point, conn.from_point) for conn in model.connections}
     warnings = [w for coh in cohomologies for w in coh.warnings]
-    warnings += _missing_connection_warnings(model, supplied)
+    warnings += _missing_connection_warnings(model)
 
     blocks = {}
     for level in range(2):
@@ -784,12 +822,11 @@ def assemble_d2(
     """Second-page differentials d2 : E_2^(0,q) -> E_2^(2,q-1), q = 0, 1, 2.
 
     The component is the connection orbit sum between the level-0 and
-    level-2 fibers, conjugated onto the second-page subquotient bases.
+    level-2 fibers, conjugated onto the second-page subquotient bases. The
+    connections were classified when page2's complex was assembled.
     """
     e1 = page2.d1.e1
     base = page2.d1.filtered.base
-    for conn in model.connections:
-        connection_kind(model, conn)
     out = {}
     for q in range(3):
         k = q
@@ -917,7 +954,7 @@ def total_torsion(model: BottModel, mode: str = "auto", tol_rel: float = DEFAULT
             tau_d0=tau_d0,
             tau_d1=TorsionScalar(1.0),
             tau_d2=TorsionScalar(1.0),
-            total=TorsionScalar(fast_value, ACYCLIC_NOTE),
+            total=tau_d0,
             acyclic=True,
             warnings=[w for coh in cohomologies for w in coh.warnings],
             mode="fast",
@@ -925,35 +962,27 @@ def total_torsion(model: BottModel, mode: str = "auto", tol_rel: float = DEFAULT
             tolerance=tol_rel,
         )
 
-    morse = expand_morse(model)
-    d1 = assemble_d1(model, morse, tol_rel=tol_rel)
+    morse = _morse_layout(model)
+    d1 = assemble_d1(model, morse, cohomologies, tol_rel=tol_rel)
     page2 = page_two(d1, tol_rel=tol_rel)
     anchor = max(1.0, d1.e1.anchor)
 
-    e1_dims = {
-        (level, k - level): d1.e1.dim(level, k - level)
-        for level in range(3)
-        for k in range(4)
-        if d1.e1.dim(level, k - level)
+    e1_dims_full = {
+        (level, k - level): d1.e1.dim(level, k - level) for level in range(3) for k in range(4)
     }
-    e2_dims = {key: b.shape[1] for key, b in page2.bases.items() if b.shape[1]}
+    e2_dims_full = {key: b.shape[1] for key, b in page2.bases.items()}
+    e1_dims = {key: n for key, n in e1_dims_full.items() if n}
+    e2_dims = {key: n for key, n in e2_dims_full.items() if n}
 
-    tau_d0_mod = 1.0
-    all_blocks_acyclic = True
-    for coh in cohomologies:
-        tau_d0_mod *= coh.torsion_factor.modulus
-        all_blocks_acyclic = all_blocks_acyclic and coh.acyclic
+    tau_d0_mod = math.prod((coh.torsion_factor.modulus for coh in cohomologies), start=1.0)
+    all_blocks_acyclic = all(coh.acyclic for coh in cohomologies)
     tau_d0 = TorsionScalar(tau_d0_mod, ACYCLIC_NOTE if all_blocks_acyclic else RELATIVE_NOTE)
 
     d1_slots = dict(d1.blocks)
     d1_slots["step"] = 1
-    e1_dims_full = {
-        (level, k - level): d1.e1.dim(level, k - level) for level in range(3) for k in range(4)
-    }
     tau_d1 = _page_complex_torsion(e1_dims_full, d1_slots, page2.bases, anchor, tol_rel)
 
     d2 = assemble_d2(model, morse, page2, tol_rel=tol_rel)
-    e2_dims_full = {key: b.shape[1] for key, b in page2.bases.items()}
     d2_slots = {"step": 2}
     for q in range(3):
         d2_slots[(0, q)] = d2[q]
@@ -998,7 +1027,7 @@ def total_torsion(model: BottModel, mode: str = "auto", tol_rel: float = DEFAULT
     if mode == "auto" and fast_legal:
         mode_used = "auto"
         rel = abs(fast_value - total_mod) / max(abs(fast_value), 1e-300)
-        if rel > 1e-8:
+        if not (rel <= 1e-8):
             raise TorsionError(
                 f"fast path {fast_value:.12g} and full pipeline {total_mod:.12g} "
                 f"disagree (rel {rel:.3e})"

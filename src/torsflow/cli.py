@@ -18,7 +18,7 @@ import math
 import os
 import sys
 
-from .bott import TorsionReport, ensure_valid, total_torsion
+from .bott import TorsionReport, total_torsion
 from .cw import cw_torsion, lens_space
 from .documents import load_json, parse_cw, parse_model, parse_representation
 from .errors import InvalidInput, ParseError, TorsflowError
@@ -124,7 +124,6 @@ def run_compute(args) -> int:
     tol = _resolve_tolerance(args.tolerance)
     doc = load_json(args.input)
     model = parse_model(doc)
-    ensure_valid(model)
     report = total_torsion(model, mode=args.mode, tol_rel=tol)
     if args.format == "json":
         print(json.dumps(report_to_dict(report), indent=2, sort_keys=True))

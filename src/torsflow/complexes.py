@@ -131,12 +131,6 @@ class BasedComplex:
         return f"BasedComplex(dims={self.dims})"
 
 
-def zero_complex(top_degree: int = 0) -> BasedComplex:
-    dims = [0] * (top_degree + 1)
-    diffs = [np.zeros((0, 0), dtype=complex)] * top_degree
-    return BasedComplex(dims, diffs)
-
-
 def shifted_complex(
     degree: int, dims: Sequence[int], diffs: Sequence[np.ndarray], rank_scale: float = 0.0
 ) -> BasedComplex:
@@ -220,13 +214,8 @@ def complex_torsion(
             if rank_nullspace(joint, tol_rel).rank < c.dim(i):
                 raise BasisMismatch(f"degree {i}: complement meets the cocycles")
         else:
-            # right singular vectors of the retained singular values:
-            # orthonormal basis of (ker d^i) perp
-            u, s, vh = np.linalg.svd(c.diff(i)) if c.diff(i).size else (None, None, None)
-            if vh is None:
-                t = np.zeros((c.dim(i), 0), dtype=complex)
-            else:
-                t = vh[:rank].conj().T
+            # orthonormal basis of (ker d^i) perp from the rank decision's SVD
+            t = ranks[i].row_basis
         t_bases.append(t)
 
     log_tau = 0.0

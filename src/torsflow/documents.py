@@ -24,8 +24,6 @@ block ordering, gcd conditions) stays with the domain constructors.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -204,21 +202,3 @@ def parse_cw(doc, where="cw") -> CWComplex:
     except Exception as err:
         raise ParseError(f"{where}: {err}") from err
 
-
-@dataclass
-class InputDocument:
-    representation: Optional[Representation]
-    model: Optional[BottModel]
-    cw: Optional[CWComplex]
-
-
-def parse_document(doc: dict, where="document") -> InputDocument:
-    """Parse whichever sections are present."""
-    rep = None
-    if "representation" in doc:
-        rep = parse_representation(_expect(doc, "representation", dict, where))
-    model = parse_model(doc, where) if "blocks" in doc else None
-    cw = parse_cw(_expect(doc, "cw", dict, where)) if "cw" in doc else None
-    if model is None and cw is None and rep is None:
-        raise ParseError(f"{where}: nothing to do, need representation, blocks or cw")
-    return InputDocument(representation=rep, model=model, cw=cw)

@@ -48,14 +48,16 @@ class RankResult:
     """Rank decision for one matrix.
 
     kernel_basis has shape (cols, cols - rank), cokernel_basis has shape
-    (rows, rows - rank); both have orthonormal columns. singular_values is
-    non-increasing. tolerance_used is the absolute threshold actually
-    applied to the singular values.
+    (rows, rows - rank) and row_basis, spanning the orthogonal complement of
+    the kernel, has shape (cols, rank); all have orthonormal columns.
+    singular_values is non-increasing. tolerance_used is the absolute
+    threshold actually applied to the singular values.
     """
 
     rank: int
     kernel_basis: np.ndarray
     cokernel_basis: np.ndarray
+    row_basis: np.ndarray
     singular_values: np.ndarray
     tolerance_used: float
     ambiguous: bool = field(default=False)
@@ -106,6 +108,7 @@ def rank_nullspace(a, tol_rel: float = DEFAULT_TOL, scale: float = 0.0) -> RankR
         rank=rank,
         kernel_basis=vh[rank:].conj().T,
         cokernel_basis=u[:, rank:],
+        row_basis=vh[:rank].conj().T,
         singular_values=s,
         tolerance_used=threshold,
         ambiguous=ambiguous,

@@ -281,7 +281,7 @@ def filtered_pages(fc: FilteredComplex, tol_rel: float = DEFAULT_TOL) -> Spectra
             raise TorsionError(
                 f"degree {k}: limit page dimensions sum to {spread}, H^{k} has dim {h_dims[k]}"
             )
-    if rel > 1e-8:
+    if not (rel <= 1e-8):
         raise TorsionError(
             f"page torsion product {product:.12g} disagrees with direct torsion "
             f"{direct.modulus:.12g} (rel {rel:.3e})"

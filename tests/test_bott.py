@@ -573,3 +573,69 @@ class TestTotalTorsion:
 
         with pytest.raises(NotAComplex):
             total_torsion(model)
+
+
+class TestComputedOnce:
+    """total_torsion computes each per-model quantity once."""
+
+    def test_block_cohomology_once_per_block(self, monkeypatch):
+        from torsflow import bott
+
+        calls = []
+        original = bott.block_cohomology
+
+        def counted(block, *args, **kwargs):
+            calls.append(block.id)
+            return original(block, *args, **kwargs)
+
+        monkeypatch.setattr(bott, "block_cohomology", counted)
+        model = kovalevskaya_model()
+        total_torsion(model)
+        assert sorted(calls) == sorted(b.id for b in model.blocks)
+
+    def test_validated_once(self, monkeypatch):
+        from torsflow import bott
+
+        calls = []
+        original = bott.validate_model
+        monkeypatch.setattr(bott, "validate_model", lambda m: calls.append(m) or original(m))
+        total_torsion(kovalevskaya_model())
+        assert len(calls) == 1
+
+    def test_missing_connections_summarized_per_kind(self):
+        report = total_torsion(kovalevskaya_model())
+        lines = [w for w in report.warnings if "missing connection" in w]
+        assert len(lines) <= 2
+        d1 = [w for w in lines if " d1 pair" in w]
+        d2 = [w for w in lines if " d2 pair" in w]
+        assert len(d1) == 1 and "for 14 d1 pairs" in d1[0]
+        assert len(d2) == 1 and "for 2 d2 pairs" in d2[0]
+        # the first gaps in model order are quoted, the rest elided
+        assert d1[0].endswith(": r2.w -> m1.w, r2.z -> m1.z, r3.w -> m1.w, ...")
+        assert d2[0].endswith(": n.w -> m1.z, n.w -> m2.z")
+
+    def test_complete_connection_data_gives_no_missing_warning(self):
+        rep = simple_rep()
+        blocks = (
+            CriticalBlock("m", "circle", 0.0, index=0, delta=1, holonomy=()),
+            CriticalBlock("r", "circle", 1.0, index=1, delta=-1, holonomy=("g",)),
+        )
+        conns = (
+            GradientConnection(("r", "w"), ("m", "w"), (Orbit(1, ()), Orbit(-1, ("g",)))),
+            GradientConnection(("r", "z"), ("m", "z"), (Orbit(1, ()),)),
+        )
+        d1 = assemble_d1(BottModel(rep, blocks, conns))
+        assert not any("missing connection" in w for w in d1.warnings)
+        d1 = assemble_d1(BottModel(rep, blocks, conns[:1]))
+        lines = [w for w in d1.warnings if "missing connection" in w]
+        assert lines == [
+            "missing connection for 1 d1 pair (components set to zero): r.z -> m.z"
+        ]
+
+    def test_nan_fails_auto_cross_check(self, monkeypatch):
+        from torsflow import TorsionError, bott
+
+        model = random_circle_model(np.random.default_rng(5))
+        monkeypatch.setattr(bott, "det_modulus", lambda a: float("nan"))
+        with pytest.raises(TorsionError, match="disagree"):
+            total_torsion(model, mode="auto")

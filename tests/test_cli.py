@@ -142,3 +142,14 @@ def test_rep_document_with_complex_entries(tmp_path, capsys):
     assert code == 0
     expect = abs(z - 1) ** 2
     assert json.loads(out)["torsion"] == pytest.approx(expect, rel=1e-10)
+
+
+def test_compute_validates_once(capsys, monkeypatch):
+    from torsflow import bott
+
+    calls = []
+    original = bott.validate_model
+    monkeypatch.setattr(bott, "validate_model", lambda m: calls.append(m) or original(m))
+    code, out, err = run(capsys, ["compute", "--input", KOVALEVSKAYA])
+    assert code == 0
+    assert len(calls) == 1

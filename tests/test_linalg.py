@@ -134,3 +134,13 @@ def test_singular_product_matches_det_for_invertible():
     rng = np.random.default_rng(4)
     a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)) + 2 * np.eye(5)
     assert singular_product(a) == pytest.approx(det_modulus(a), rel=1e-10)
+
+
+def test_row_basis_complements_kernel():
+    rng = np.random.default_rng(2)
+    a = rng.standard_normal((4, 3)) @ rng.standard_normal((3, 6))
+    res = rank_nullspace(a)
+    assert res.row_basis.shape == (6, res.rank) == (6, 3)
+    joint = np.concatenate([res.row_basis, res.kernel_basis], axis=1)
+    assert np.allclose(joint.conj().T @ joint, np.eye(6), atol=1e-12)
+    assert rank_nullspace(np.zeros((0, 5))).row_basis.shape == (5, 0)

@@ -128,3 +128,12 @@ def test_trivial_complex():
     fc = FilteredComplex(base, [np.zeros(0, int), np.zeros(0, int)], 2)
     res = filtered_pages(fc)
     assert res.product_check.page_product == pytest.approx(1.0)
+
+
+def test_nan_torsion_fails_product_check(monkeypatch):
+    from torsflow import TorsionError, TorsionScalar, spectral
+
+    fc = random_filtered_complex(np.random.default_rng(4))
+    monkeypatch.setattr(spectral, "complex_torsion", lambda *a, **k: TorsionScalar(float("nan")))
+    with pytest.raises(TorsionError, match="page torsion product"):
+        filtered_pages(fc)
