@@ -26,11 +26,17 @@ of a small matrix built from its holonomies:
         cohomology ker D, ker D* /\\ (im D)^perp, coker D* in degrees
         n-1, n, n+1, torsion factor 1.
 
-The differentials of the first and second pages are assembled from the
-connection orbit sums Sum_q I_q rho(alpha_q) between the licensed point
-pairs, conjugated onto the block cohomology bases. The total torsion
-modulus is the product of the block factors with the page torsions, and
-for all-circle acyclic models it collapses to the determinant product
+The Morse complex is then reduced once onto these E_1 bases (Skoldberg's
+algebraic Morse theory; torsion is multiplicative along the reduction).
+The reduced operator carries the connection orbit sums
+Sum_q I_q rho(alpha_q) between the licensed point pairs, conjugated onto
+the block cohomology bases, and on the level 0 -> 2 component also the
+path through each saddle block, -D_out D_s^+ D_in. Its level-raising
+slices are d1 and d2; one page step (kernel of the outgoing map,
+orthogonal to the image of the incoming one) gives E_2 and E_3, and the
+page torsions come from the spectral module. The total torsion modulus is
+the product of the block factors with the page torsions, and for
+all-circle acyclic models it collapses to the determinant product
 prod |det D_i|^((-1)^u_i), available as the fast path.
 """
 from __future__ import annotations
@@ -48,7 +54,6 @@ from .complexes import (
     RELATIVE_NOTE,
     BasedComplex,
     TorsionScalar,
-    complex_torsion,
     map_torsion,
 )
 from .errors import (
@@ -62,7 +67,7 @@ from .errors import (
 )
 from .linalg import DEFAULT_TOL, det_modulus, range_basis, rank_nullspace
 from .representation import Representation, parse_word
-from .spectral import FilteredComplex
+from .spectral import FilteredComplex, _page_torsion, _within
 
 CIRCLE = "circle"
 TORUS = "torus"
@@ -634,74 +639,69 @@ def assemble_complex(
 class E1Data:
     """First page assembled from the block cohomologies.
 
-    basis[(level, degree)] is an ambient-coordinate orthonormal basis of
-    E_1 at that slot (shape: dim of Morse degree x page dimension), the
-    columns grouped by block in model order; segments[(level, degree)]
-    lists (block_id, start, stop) column ranges.
+    ambient[k] is an orthonormal basis of E_1 in Morse degree k, in ambient
+    coordinates (dim of Morse degree x page dimension), the columns grouped
+    by level and within a level by block in model order; cols[(level, k)]
+    is the column range of one level.
     """
 
-    basis: dict
-    segments: dict
+    ambient: list
+    cols: dict
     anchor: float
 
-    def dim(self, level: int, q: int) -> int:
-        mat = self.basis.get((level, level + q))
-        return 0 if mat is None else mat.shape[1]
+    @property
+    def basis(self) -> dict:
+        """basis[(level, k)]: the ambient basis of E_1 at that slot."""
+        return {(level, k): self.ambient[k][:, s] for (level, k), s in self.cols.items()}
+
+    def dims(self) -> dict:
+        """Page dimension of every slot (level, q), levels outermost."""
+        return {(level, k - level): s.stop - s.start for (level, k), s in self.cols.items()}
 
 
 def _build_e1(model, morse, cohomologies, complex_dims) -> E1Data:
     m = model.representation.dim
-    basis = {}
-    segments = {}
+    width = Counter()
+    for block, coh in zip(model.blocks, cohomologies):
+        for k, b in coh.bases.items():
+            width[(block.level, k)] += b.shape[1]
+    cols = {}
     for level in range(3):
         for k in range(4):
-            cols = []
-            segs = []
-            start = 0
-            for block, coh in zip(model.blocks, cohomologies):
-                if block.level != level or k not in coh.bases:
-                    continue
-                b = coh.bases[k]
-                if b.shape[1] == 0:
-                    continue
-                ambient = np.zeros((complex_dims[k], b.shape[1]), dtype=complex)
-                if block.kind == CIRCLE:
-                    label = "w" if k == coh.middle else "z"
-                    _, rows = morse.fiber(m, block.id, label)
-                    ambient[rows] = b
-                else:
-                    if k == coh.middle - 1:
-                        _, rows = morse.fiber(m, block.id, "p")
-                        ambient[rows] = b
-                    elif k == coh.middle + 1:
-                        _, rows = morse.fiber(m, block.id, "s")
-                        ambient[rows] = b
-                    else:
-                        _, rows_q = morse.fiber(m, block.id, "q")
-                        _, rows_r = morse.fiber(m, block.id, "r")
-                        ambient[rows_q] = b[:m]
-                        ambient[rows_r] = b[m:]
-                cols.append(ambient)
-                segs.append((block.id, start, start + b.shape[1]))
-                start += b.shape[1]
-            basis[(level, k)] = (
-                np.concatenate(cols, axis=1)
-                if cols
-                else np.zeros((complex_dims[k], 0), dtype=complex)
-            )
-            segments[(level, k)] = segs
-    return E1Data(basis=basis, segments=segments, anchor=0.0)
+            start = sum(width[(lower, k)] for lower in range(level))
+            cols[(level, k)] = slice(start, start + width[(level, k)])
+    ambient = [np.zeros((complex_dims[k], cols[(2, k)].stop), dtype=complex) for k in range(4)]
+    pos = {key: s.start for key, s in cols.items()}
+    for block, coh in zip(model.blocks, cohomologies):
+        # a degree's basis stacks the fibers of the block's points of that
+        # index in label order (q above r for extremal blocks)
+        used = Counter()
+        for label in block.labels():
+            k, rows = morse.fiber(m, block.id, label)
+            b = coh.bases[k]
+            c = pos[(block.level, k)]
+            ambient[k][rows, c : c + b.shape[1]] = b[used[k] : used[k] + m]
+            used[k] += m
+        for k, b in coh.bases.items():
+            pos[(block.level, k)] += b.shape[1]
+    return E1Data(ambient=ambient, cols=cols, anchor=0.0)
 
 
 @dataclass
 class D1Data:
-    """First-page differential blocks, E_1^(n,q) -> E_1^(n+1,q)."""
+    """First-page differential blocks, E_1^(n,q) -> E_1^(n+1,q).
+
+    reduced[k] is the reduced first-page operator out of Morse degree k on
+    the E_1 bases (rows and columns laid out as e1.ambient); blocks are its
+    level n -> n + 1 slices.
+    """
 
     blocks: dict
     e1: E1Data
     filtered: FilteredComplex
     cohomologies: list
     warnings: list
+    reduced: list
 
 
 def _missing_connection_warnings(model: BottModel) -> list[str]:
@@ -750,11 +750,15 @@ def assemble_d1(
 ) -> D1Data:
     """First-page differentials from the licensed connection components.
 
-    Components between blocks at consecutive filtration levels are the
-    orbit sums of the supplied connections, restricted and projected onto
-    the block cohomology bases. Licensed pairs with no connection default
-    to zero; the warnings then hold one summary line per kind (d1, d2) with
-    the number of such pairs and the first few of them.
+    The Morse complex is reduced once onto the E_1 bases: the operator out
+    of degree k is E_{k+1}^H (D_k - D_k[:, S] h D_k[S, :]) E_k, where the
+    second term runs level 0 -> saddle -> level 2 through the pseudo-inverse
+    h of each saddle's own D (the zig-zag that eliminating the saddle's
+    acyclic part leaves behind). Its level n -> n + 1 slices, the orbit sums
+    of the supplied connections projected onto the block cohomology bases,
+    are d1; assemble_d2 reads the level 0 -> 2 slice. Licensed pairs with no
+    connection default to zero; the warnings then hold one summary line per
+    kind (d1, d2) with the number of such pairs and the first few of them.
     """
     if morse is None:
         morse = expand_morse(model)
@@ -768,15 +772,67 @@ def assemble_d1(
     warnings = [w for coh in cohomologies for w in coh.warnings]
     warnings += _missing_connection_warnings(model)
 
-    blocks = {}
-    for level in range(2):
-        for k in range(4):
-            src = e1.basis[(level, k)]
-            tgt = e1.basis.get((level + 1, k + 1))
-            if tgt is None:
-                tgt = np.zeros((0, 0), dtype=complex)
-            blocks[(level, k - level)] = tgt.conj().T @ fc.base.diff(k) @ src
-    return D1Data(blocks=blocks, e1=e1, filtered=fc, cohomologies=cohomologies, warnings=warnings)
+    reduced = _reduced_operator(model, morse, cohomologies, fc.base, e1, tol_rel)
+    blocks = {
+        (level, k - level): reduced[k][e1.cols[(level + 1, k + 1)], e1.cols[(level, k)]]
+        for level in range(2)
+        for k in range(3)
+    }
+    return D1Data(
+        blocks=blocks, e1=e1, filtered=fc, cohomologies=cohomologies, warnings=warnings, reduced=reduced
+    )
+
+
+def _reduced_operator(model, morse, cohomologies, base, e1, tol_rel) -> list:
+    """E_{k+1}^H (D_k - D_k[:, S] h D_k[S, :]) E_k for k = 0, 1, 2.
+
+    Only degree 1 -> 2 has zig-zags: h maps a saddle's z fiber to its w
+    fiber, so they need a level-0 orbit into s.z and a level-2 orbit out of
+    s.w, and they vanish for a saddle with D = 0.
+    """
+    amb = e1.ambient
+    reduced = [amb[k + 1].conj().T @ base.diff(k) @ amb[k] for k in range(3)]
+    src, tgt = e1.cols[(0, 1)], e1.cols[(2, 2)]
+    if src.start == src.stop or tgt.start == tgt.stop:
+        return reduced
+    fed = {conn.from_point[0] for conn in model.connections if conn.from_point[1] == "z"}
+    through = fed & {conn.to_point[0] for conn in model.connections if conn.to_point[1] == "w"}
+    d = base.diff(1)
+    m = model.representation.dim
+    for block, coh in zip(model.blocks, cohomologies):
+        if block.tier != _TIER_SADDLE or block.id not in through:
+            continue
+        res = rank_nullspace(coh.D, tol_rel, scale=1.0)
+        if res.rank == 0:
+            continue
+        # h = D^+ = V S^-1 U^H = V S^-2 (D V)^H on the kept singular pairs
+        v = res.row_basis
+        h = (v / res.singular_values[: res.rank] ** 2) @ (coh.D @ v).conj().T
+        _, w = morse.fiber(m, block.id, "w")
+        _, z = morse.fiber(m, block.id, "z")
+        reduced[1][tgt, src] -= (amb[2][:, tgt].conj().T @ d[:, w]) @ h @ (d[z, :] @ amb[1][:, src])
+    return reduced
+
+
+def _page_step(dims: dict, diffs: dict, r: int, tol_rel: float, anchor: float) -> dict:
+    """The next page: per slot (level, q), an orthonormal basis of
+    ker(d_r out of the slot) meet (im d_r into it)^perp in the slot's
+    coordinates. diffs[(level, q)] maps the slot to (level + r, q - r + 1)."""
+    bases = {}
+    for (level, q), dim in dims.items():
+        if dim == 0:
+            bases[(level, q)] = np.zeros((0, 0), dtype=complex)
+            continue
+        out = diffs.get((level, q))
+        into = diffs.get((level - r, q + r - 1))
+        if out is not None and out.shape[0]:
+            span = rank_nullspace(out, tol_rel, scale=anchor).kernel_basis
+        else:
+            span = np.eye(dim, dtype=complex)
+        if into is not None and into.shape[1]:
+            span = _within(span, range_basis(into, tol_rel, scale=anchor), tol_rel)
+        bases[(level, q)] = span
+    return bases
 
 
 @dataclass
@@ -792,28 +848,8 @@ class PageTwo:
 
 
 def page_two(d1: D1Data, tol_rel: float = DEFAULT_TOL) -> PageTwo:
-    e1 = d1.e1
-    anchor = max(1.0, e1.anchor)
-    bases = {}
-    for level in range(3):
-        for k in range(4):
-            q = k - level
-            dim = e1.dim(level, q)
-            if dim == 0:
-                bases[(level, q)] = np.zeros((0, 0), dtype=complex)
-                continue
-            out = d1.blocks.get((level, q))
-            into = d1.blocks.get((level - 1, q))
-            if level < 2 and out is not None and out.shape[0]:
-                span = rank_nullspace(out, tol_rel, scale=anchor).kernel_basis
-            else:
-                span = np.eye(dim, dtype=complex)
-            if level > 0 and into is not None and into.shape[1]:
-                image = range_basis(into, tol_rel, scale=anchor)
-                coeff = rank_nullspace(image.conj().T @ span, tol_rel, scale=1.0).kernel_basis
-                span = span @ coeff
-            bases[(level, q)] = span
-    return PageTwo(bases=bases, d1=d1)
+    anchor = max(1.0, d1.e1.anchor)
+    return PageTwo(bases=_page_step(d1.e1.dims(), d1.blocks, 1, tol_rel, anchor), d1=d1)
 
 
 def assemble_d2(
@@ -821,24 +857,15 @@ def assemble_d2(
 ) -> dict:
     """Second-page differentials d2 : E_2^(0,q) -> E_2^(2,q-1), q = 0, 1, 2.
 
-    The component is the connection orbit sum between the level-0 and
-    level-2 fibers, conjugated onto the second-page subquotient bases. The
-    connections were classified when page2's complex was assembled.
+    The component is the level 0 -> 2 slice of the reduced first-page
+    operator (direct orbit sums plus the zig-zags through saddle blocks),
+    conjugated onto the second-page subquotient bases.
     """
-    e1 = page2.d1.e1
-    base = page2.d1.filtered.base
+    cols = page2.d1.e1.cols
     out = {}
     for q in range(3):
-        k = q
-        src2 = page2.bases.get((0, q))
-        tgt2 = page2.bases.get((2, q - 1))
-        src_amb = e1.basis[(0, k)]
-        tgt_amb = e1.basis.get((2, k + 1))
-        if tgt_amb is None or src2 is None or tgt2 is None:
-            out[q] = np.zeros((0, 0), dtype=complex)
-            continue
-        component = tgt_amb.conj().T @ base.diff(k) @ src_amb
-        out[q] = tgt2.conj().T @ component @ src2
+        component = page2.d1.reduced[q][cols[(2, q + 1)], cols[(0, q)]]
+        out[q] = page2.bases[(2, q - 1)].conj().T @ component @ page2.bases[(0, q)]
     return out
 
 
@@ -863,49 +890,6 @@ class TorsionReport:
     mode: str
     fast_total: Optional[float] = None
     tolerance: float = DEFAULT_TOL
-
-
-def _page_complex_torsion(dims_by_slot, blocks_by_slot, next_bases, anchor, tol_rel):
-    """Torsion of a page (slots (level, q), differential level -> level + step)
-    relative to the next page's bases, graded by total degree."""
-    degrees = range(4)
-    offsets = {}
-    dims = []
-    for k in degrees:
-        pos = 0
-        for level in range(3):
-            offsets[(level, k)] = pos
-            pos += dims_by_slot.get((level, k - level), 0)
-        dims.append(pos)
-
-    step = blocks_by_slot["step"]
-    diffs = []
-    for k in range(3):
-        mat = np.zeros((dims[k + 1], dims[k]), dtype=complex)
-        for level in range(3 - step):
-            block = blocks_by_slot.get((level, k - level))
-            if block is None or block.size == 0:
-                continue
-            r0 = offsets[(level + step, k + 1)]
-            c0 = offsets[(level, k)]
-            mat[r0 : r0 + block.shape[0], c0 : c0 + block.shape[1]] = block
-        diffs.append(mat)
-    page = BasedComplex(dims, diffs, rank_scale=anchor)
-
-    h = {}
-    for k in degrees:
-        cols = []
-        for level in range(3):
-            nxt = next_bases.get((level, k - level))
-            if nxt is None:
-                nxt = np.zeros((dims_by_slot.get((level, k - level), 0), 0), dtype=complex)
-            lifted = np.zeros((dims[k], nxt.shape[1]), dtype=complex)
-            if nxt.size:
-                off = offsets[(level, k)]
-                lifted[off : off + nxt.shape[0]] = nxt
-            cols.append(lifted)
-        h[k] = np.concatenate(cols, axis=1) if cols else np.zeros((dims[k], 0), dtype=complex)
-    return complex_torsion(page, h, tol_rel=tol_rel)
 
 
 def total_torsion(model: BottModel, mode: str = "auto", tol_rel: float = DEFAULT_TOL) -> TorsionReport:
@@ -967,9 +951,7 @@ def total_torsion(model: BottModel, mode: str = "auto", tol_rel: float = DEFAULT
     page2 = page_two(d1, tol_rel=tol_rel)
     anchor = max(1.0, d1.e1.anchor)
 
-    e1_dims_full = {
-        (level, k - level): d1.e1.dim(level, k - level) for level in range(3) for k in range(4)
-    }
+    e1_dims_full = d1.e1.dims()
     e2_dims_full = {key: b.shape[1] for key, b in page2.bases.items()}
     e1_dims = {key: n for key, n in e1_dims_full.items() if n}
     e2_dims = {key: n for key, n in e2_dims_full.items() if n}
@@ -978,37 +960,12 @@ def total_torsion(model: BottModel, mode: str = "auto", tol_rel: float = DEFAULT
     all_blocks_acyclic = all(coh.acyclic for coh in cohomologies)
     tau_d0 = TorsionScalar(tau_d0_mod, ACYCLIC_NOTE if all_blocks_acyclic else RELATIVE_NOTE)
 
-    d1_slots = dict(d1.blocks)
-    d1_slots["step"] = 1
-    tau_d1 = _page_complex_torsion(e1_dims_full, d1_slots, page2.bases, anchor, tol_rel)
-
-    d2 = assemble_d2(model, morse, page2, tol_rel=tol_rel)
-    d2_slots = {"step": 2}
-    for q in range(3):
-        d2_slots[(0, q)] = d2[q]
+    tau_d1 = _page_torsion(4, 3, page2.bases, d1.blocks, 1, tol_rel, anchor)
 
     # third page: cohomology of (E_2, d_2); levels 0 and 2 move, level 1 is stable
-    page3 = {}
-    for level in range(3):
-        for k in range(4):
-            q = k - level
-            dim = e2_dims_full.get((level, q), 0)
-            if dim == 0:
-                page3[(level, q)] = np.zeros((0, 0), dtype=complex)
-                continue
-            span = np.eye(dim, dtype=complex)
-            if level == 0:
-                out = d2.get(q)
-                if out is not None and out.shape[0]:
-                    span = rank_nullspace(out, tol_rel, scale=anchor).kernel_basis
-            if level == 2:
-                into = d2.get(q + 1)
-                if into is not None and into.shape[1]:
-                    image = range_basis(into, tol_rel, scale=anchor)
-                    coeff = rank_nullspace(image.conj().T @ span, tol_rel, scale=1.0).kernel_basis
-                    span = span @ coeff
-            page3[(level, q)] = span
-    tau_d2 = _page_complex_torsion(e2_dims_full, d2_slots, page3, anchor, tol_rel)
+    d2 = {(0, q): mat for q, mat in assemble_d2(model, morse, page2, tol_rel=tol_rel).items()}
+    page3 = _page_step(e2_dims_full, d2, 2, tol_rel, anchor)
+    tau_d2 = _page_torsion(4, 3, page3, d2, 2, tol_rel, anchor)
 
     einf_dims = {key: b.shape[1] for key, b in page3.items() if b.shape[1]}
     acyclic = not einf_dims

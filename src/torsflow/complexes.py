@@ -371,7 +371,7 @@ def ses_torsion(
             vol = complex_torsion(seq, tol_rel=tol_rel)
             if vol.basis_note != ACYCLIC_NOTE:
                 raise NotExact(f"degree {k}: sequence of spaces is not exact")
-            if abs(vol.modulus - 1.0) > 1e-8:
+            if not (abs(vol.modulus - 1.0) <= 1e-8):
                 raise BasisMismatch(
                     f"degree {k}: bases are not volume compatible, |tau| = {vol.modulus:.6g}"
                 )
@@ -429,7 +429,7 @@ def ses_torsion(
     tau_les = complex_torsion(les, tol_rel=tol_rel)
 
     expect = tau_sub.modulus * tau_quo.modulus * tau_les.modulus
-    if abs(tau_tot.modulus - expect) > 1e-8 * max(abs(expect), 1e-300):
+    if not (abs(tau_tot.modulus - expect) <= 1e-8 * max(abs(expect), 1e-300)):
         raise TorsionError(
             f"additivity violated: |tau_total| = {tau_tot.modulus:.12g} vs "
             f"|tau_sub||tau_quot||tau_les| = {expect:.12g}"

@@ -207,7 +207,9 @@ def filtered_pages(fc: FilteredComplex, tol_rel: float = DEFAULT_TOL) -> Spectra
     base = fc.base
     L = fc.num_levels
     degrees = range(len(base.dims))
-    anchor = base.operator_scale()
+    # rank decisions are anchored by the operator norm and, from below, by
+    # the scale the complex carries (an ambient norm it was conjugated out of)
+    anchor = max(base.rank_scale, base.operator_scale())
 
     def key_range():
         for k in degrees:
@@ -259,7 +261,8 @@ def filtered_pages(fc: FilteredComplex, tol_rel: float = DEFAULT_TOL) -> Spectra
             if tgt is None:
                 tgt = np.zeros((base.dim(k + 1), 0), dtype=complex)
             diffs[(n, k - n)] = tgt.conj().T @ base.diff(k) @ src
-        torsion = _page_torsion(base, L, reps[r], reps[r + 1], diffs, r, tol_rel, anchor)
+        coords = {(n, k - n): reps[r][(n, k)].conj().T @ reps[r + 1][(n, k)] for n, k in key_range()}
+        torsion = _page_torsion(len(base.dims), L, coords, diffs, r, tol_rel, anchor)
         pages.append(Page(r=r, spaces=spaces, diffs=diffs, torsion=torsion))
         product *= torsion.modulus
 
@@ -270,7 +273,7 @@ def filtered_pages(fc: FilteredComplex, tol_rel: float = DEFAULT_TOL) -> Spectra
     for k in degrees:
         cols = [limit[(n, k)] for n in range(L)]
         h_bases[k] = np.concatenate(cols, axis=1) if cols else np.zeros((base.dim(k), 0), dtype=complex)
-    anchored = BasedComplex(base.dims, base.diffs, rank_scale=max(base.rank_scale, anchor))
+    anchored = BasedComplex(base.dims, base.diffs, rank_scale=anchor)
     direct = complex_torsion(anchored, h_bases, tol_rel=tol_rel)
 
     rel = abs(product - direct.modulus) / max(direct.modulus, 1e-300)
@@ -293,15 +296,17 @@ def filtered_pages(fc: FilteredComplex, tol_rel: float = DEFAULT_TOL) -> Spectra
     )
 
 
-def _page_torsion(base, L, reps_r, reps_next, diffs, r, tol_rel, anchor) -> TorsionScalar:
+def _page_torsion(num_degrees, L, next_coords, diffs, r, tol_rel, anchor) -> TorsionScalar:
     """Torsion of one page, graded by total degree, relative to the next page.
 
-    The cohomology basis of the page complex in a given total degree is the
-    block-diagonal collection of next-page representatives written in
-    page-r representative coordinates (an orthogonal projection, valid
-    because next-page cocycle spaces sit inside page-r ones).
+    next_coords[(n, q)] is the next page's basis at a slot written in page-r
+    coordinates (shape dim E_r x dim E_{r+1}); it is the block-diagonal
+    cohomology basis of the page complex in each total degree, valid
+    because next-page cocycle spaces sit inside page-r ones. diffs[(n, q)]
+    is d_r out of the slot, missing where it is zero. Degrees run
+    0 .. num_degrees - 1 and levels 0 .. L - 1.
     """
-    degrees = range(len(base.dims))
+    degrees = range(num_degrees)
     offsets = []
     dims = []
     for k in degrees:
@@ -309,18 +314,18 @@ def _page_torsion(base, L, reps_r, reps_next, diffs, r, tol_rel, anchor) -> Tors
         pos = 0
         for n in range(L):
             off[n] = pos
-            pos += reps_r[(n, k)].shape[1]
+            pos += next_coords[(n, k - n)].shape[0]
         offsets.append(off)
         dims.append(pos)
 
     page_diffs = []
     for k in degrees:
-        if k + 1 >= len(base.dims):
+        if k + 1 >= num_degrees:
             break
         mat = np.zeros((dims[k + 1], dims[k]), dtype=complex)
         for n in range(L):
-            block = diffs[(n, k - n)]
-            if block.size == 0 or n + r >= L:
+            block = diffs.get((n, k - n))
+            if block is None or block.size == 0 or n + r >= L:
                 continue
             r0 = offsets[k + 1][n + r]
             c0 = offsets[k][n]
@@ -332,11 +337,9 @@ def _page_torsion(base, L, reps_r, reps_next, diffs, r, tol_rel, anchor) -> Tors
     for k in degrees:
         cols = []
         for n in range(L):
-            cur = reps_r[(n, k)]
-            nxt = reps_next[(n, k)]
-            coords = cur.conj().T @ nxt
+            coords = next_coords[(n, k - n)]
             lifted = np.zeros((dims[k], coords.shape[1]), dtype=complex)
-            lifted[offsets[k][n] : offsets[k][n] + cur.shape[1]] = coords
+            lifted[offsets[k][n] : offsets[k][n] + coords.shape[0]] = coords
             cols.append(lifted)
         h[k] = np.concatenate(cols, axis=1) if cols else np.zeros((dims[k], 0), dtype=complex)
     return complex_torsion(page_complex, h, tol_rel=tol_rel)

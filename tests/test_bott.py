@@ -562,6 +562,54 @@ class TestTotalTorsion:
         assert report.tau_d2.modulus == pytest.approx(res.pages[2].torsion.modulus, rel=1e-8)
         assert report.total.modulus == pytest.approx(res.product_check.direct, rel=1e-8)
 
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_d2_includes_zigzag_through_acyclic_saddle(self, m):
+        # c.z -u-> s.z, s.w -v-> n.w and c.z -e-> n.w with an invertible
+        # saddle block D_s = 2I: eliminating the saddle leaves
+        # d2 = e - v D_s^-1 u on E_2^(0,1) -> E_2^(2,0), not the bare e
+        rng = np.random.default_rng(80)
+        gens = {name: np.eye(1) if m == 1 else rand_unitary(rng, m) for name in ("u", "v", "e")}
+        blocks = (
+            CriticalBlock("c", "circle", 0.0, index=0, delta=+1, holonomy=()),
+            CriticalBlock("s", "circle", 1.0, index=1, delta=-1, holonomy=()),
+            CriticalBlock("n", "circle", 2.0, index=2, delta=+1, holonomy=()),
+        )
+        conns = (
+            GradientConnection(("s", "z"), ("c", "z"), (Orbit(1, ("u",)),)),
+            GradientConnection(("n", "w"), ("s", "w"), (Orbit(1, ("v",)),)),
+            GradientConnection(("n", "w"), ("c", "z"), (Orbit(1, ("e",)),)),
+        )
+        model = BottModel(Representation(m, gens), blocks, conns)
+        report = total_torsion(model)
+        res = filtered_pages(assemble_complex(model))
+        assert report.einf_dims == {k: v for k, v in res.infinity_dims.items() if v}
+        assert report.total.modulus == pytest.approx(res.total.modulus, rel=1e-8)
+
+    def test_acyclic_model_with_zigzag_matches_generic(self):
+        # the same zig-zag with the outer classes killed by d1 through a
+        # second, degenerate saddle: the total is canonical
+        rng = np.random.default_rng(81)
+        m = 2
+        gens = {name: rand_unitary(rng, m) for name in ("a", "b", "e", "u", "v")}
+        blocks = (
+            CriticalBlock("c", "circle", 0.0, index=0, delta=+1, holonomy=()),
+            CriticalBlock("s1", "circle", 1.0, index=1, delta=+1, holonomy=()),
+            CriticalBlock("s2", "circle", 1.0, index=1, delta=-1, holonomy=()),
+            CriticalBlock("n", "circle", 2.0, index=2, delta=+1, holonomy=()),
+        )
+        conns = (
+            GradientConnection(("s1", "w"), ("c", "w"), (Orbit(1, ("a",)),)),
+            GradientConnection(("s2", "z"), ("c", "z"), (Orbit(1, ("u",)),)),
+            GradientConnection(("n", "w"), ("s2", "w"), (Orbit(1, ("v",)),)),
+            GradientConnection(("n", "w"), ("c", "z"), (Orbit(1, ("e",)),)),
+            GradientConnection(("n", "z"), ("s1", "z"), (Orbit(1, ("b",)),)),
+        )
+        model = BottModel(Representation(m, gens), blocks, conns)
+        report = total_torsion(model)
+        assert report.acyclic
+        res = filtered_pages(assemble_complex(model))
+        assert report.total.modulus == pytest.approx(res.total.modulus, rel=1e-8)
+
     def test_noncommuting_extremal_block_fails_loudly(self):
         rng = np.random.default_rng(17)
         rep = Representation(2, {"a": rand_unitary(rng, 2), "b": rand_unitary(rng, 2)})

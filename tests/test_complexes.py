@@ -230,6 +230,30 @@ class TestSesTorsion:
         assert tt.modulus == pytest.approx(1.0)
         assert th.modulus == pytest.approx(1.0)
 
+    def test_nan_fails_volume_check(self, monkeypatch):
+        from torsflow import TorsionScalar, complexes
+
+        ses = random_ses(np.random.default_rng(25), [1, 2, 1], [2, 1, 1])
+        monkeypatch.setattr(complexes, "complex_torsion", lambda *a, **k: TorsionScalar(float("nan")))
+        with pytest.raises(BasisMismatch, match="volume compatible"):
+            ses_torsion(*ses)
+
+    def test_nan_fails_additivity_check(self, monkeypatch):
+        from torsflow import TorsionError, TorsionScalar, complexes
+
+        ses = random_ses(np.random.default_rng(25), [1, 2, 1], [2, 1, 1])
+        original = complexes.complex_torsion
+
+        def nan_with_bases(c, bases=None, *args, **kwargs):
+            # the volume checks pass no cohomology bases; the three
+            # complexes of the sequence do
+            tau = original(c, bases, *args, **kwargs)
+            return TorsionScalar(float("nan")) if bases else tau
+
+        monkeypatch.setattr(complexes, "complex_torsion", nan_with_bases)
+        with pytest.raises(TorsionError, match="additivity violated"):
+            ses_torsion(*ses)
+
     def test_not_exact_rejected(self):
         c = two_term(np.diag([2.0, 5.0]))
         zero = BasedComplex([0, 0], [np.zeros((0, 0))])

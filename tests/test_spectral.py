@@ -137,3 +137,15 @@ def test_nan_torsion_fails_product_check(monkeypatch):
     monkeypatch.setattr(spectral, "complex_torsion", lambda *a, **k: TorsionScalar(float("nan")))
     with pytest.raises(TorsionError, match="page torsion product"):
         filtered_pages(fc)
+
+
+def test_rank_scale_anchors_page_rank_decisions():
+    # a degree-2 differential of float noise in a complex that carries unit
+    # scale: every rank decision, on the pages as in the direct check, must
+    # read it as zero
+    noise = np.full((3, 3), 1e-17)
+    base = BasedComplex([0, 0, 3, 3], [np.zeros((0, 0)), np.zeros((3, 0)), noise], rank_scale=1.0)
+    levels = [np.zeros(0, int), np.zeros(0, int), np.full(3, 2), np.full(3, 2)]
+    res = filtered_pages(FilteredComplex(base, levels, 3))
+    assert {k: v for k, v in res.infinity_dims.items() if v} == {(2, 0): 3, (2, 1): 3}
+    assert res.total.modulus == pytest.approx(complex_torsion(base).modulus, rel=1e-12)
