@@ -52,12 +52,14 @@ import numpy as np
 from .complexes import (
     ACYCLIC_NOTE,
     RELATIVE_NOTE,
+    STRUCT_TOL,
     BasedComplex,
     TorsionScalar,
-    map_torsion,
+    modulus_from_log,
 )
 from .errors import (
     AssumptionViolated,
+    BasisMismatch,
     FastPathUnavailable,
     IllegalConnection,
     InvalidInput,
@@ -65,7 +67,7 @@ from .errors import (
     NotAComplex,
     TorsionError,
 )
-from .linalg import DEFAULT_TOL, det_modulus, range_basis, rank_nullspace
+from .linalg import DEFAULT_TOL, RankResult, det_modulus, operator_norm, rank_nullspace
 from .representation import Representation, parse_word
 from .spectral import FilteredComplex, _page_torsion, _within
 
@@ -420,7 +422,8 @@ class BlockCohomology:
     dims maps ambient degree to dimension; bases maps ambient degree to an
     orthonormal basis of the block's cohomology realized in the fibers of
     its Morse points (circle: w then z fiber; extremal blocks: p, (q, r)
-    stacked, s fibers).
+    stacked, s fibers). rank_result is the one SVD rank decision of a
+    circle's D (None for extremal blocks).
     """
 
     block_id: str
@@ -434,6 +437,7 @@ class BlockCohomology:
     torsion_factor: TorsionScalar
     acyclic: bool
     warnings: list = field(default_factory=list)
+    rank_result: Optional[RankResult] = None
 
 
 def block_cohomology(
@@ -460,10 +464,17 @@ def block_cohomology(
         ker = res.kernel_basis
         coker = res.cokernel_basis
         k = ker.shape[1]
+        if k and np.abs(d @ ker).max() > STRUCT_TOL * max(1.0, float(np.abs(d).max())):
+            raise BasisMismatch(f"block {block.id}: kernel basis does not lie in ker D")
         dims = {n: k, n + 1: k} if k else {}
         bases = {n: ker, n + 1: coker}
-        tau = map_torsion(d, ker, coker, tol_rel, scale=1.0)
-        factor = TorsionScalar(tau.modulus ** ((-1) ** n), tau.basis_note)
+        # on the SVD's own kernel and cokernel bases the two-term complex
+        # 0 -> C^m -D-> C^m -> 0 has torsion prod of the kept singular values
+        log_tau = float(np.log(res.singular_values[: res.rank]).sum())
+        factor = TorsionScalar(
+            modulus_from_log((-1) ** n * log_tau, f"block {block.id} torsion factor"),
+            ACYCLIC_NOTE if k == 0 else RELATIVE_NOTE,
+        )
         return BlockCohomology(
             block_id=block.id,
             kind=block.kind,
@@ -476,6 +487,7 @@ def block_cohomology(
             torsion_factor=factor,
             acyclic=(k == 0),
             warnings=warn,
+            rank_result=res,
         )
 
     # torus / Klein bottle: the beta sign is + exactly for the Klein bottle
@@ -609,10 +621,7 @@ def assemble_complex(
         kd, rows = morse.fiber(m, *conn.from_point)
         diffs[ks][rows, cols] += conn.matrix(rep)
 
-    anchor = 1.0
-    for d in diffs:
-        if d.size:
-            anchor = max(anchor, float(np.linalg.norm(d, 2)))
+    anchor = max([1.0] + [operator_norm(d) for d in diffs])
     try:
         base = BasedComplex(dims, diffs, rank_scale=anchor)
     except NotAComplex as err:
@@ -802,7 +811,7 @@ def _reduced_operator(model, morse, cohomologies, base, e1, tol_rel) -> list:
     for block, coh in zip(model.blocks, cohomologies):
         if block.tier != _TIER_SADDLE or block.id not in through:
             continue
-        res = rank_nullspace(coh.D, tol_rel, scale=1.0)
+        res = coh.rank_result
         if res.rank == 0:
             continue
         # h = D^+ = V S^-1 U^H = V S^-2 (D V)^H on the kept singular pairs
@@ -817,20 +826,20 @@ def _reduced_operator(model, morse, cohomologies, base, e1, tol_rel) -> list:
 def _page_step(dims: dict, diffs: dict, r: int, tol_rel: float, anchor: float) -> dict:
     """The next page: per slot (level, q), an orthonormal basis of
     ker(d_r out of the slot) meet (im d_r into it)^perp in the slot's
-    coordinates. diffs[(level, q)] maps the slot to (level + r, q - r + 1)."""
+    coordinates. diffs[(level, q)] maps the slot to (level + r, q - r + 1).
+    Each block is decomposed once: its rank decision gives the kernel in
+    its source slot and the range in its target slot."""
+    ranks = {key: rank_nullspace(mat, tol_rel, scale=anchor) for key, mat in diffs.items() if mat.size}
     bases = {}
     for (level, q), dim in dims.items():
         if dim == 0:
             bases[(level, q)] = np.zeros((0, 0), dtype=complex)
             continue
-        out = diffs.get((level, q))
-        into = diffs.get((level - r, q + r - 1))
-        if out is not None and out.shape[0]:
-            span = rank_nullspace(out, tol_rel, scale=anchor).kernel_basis
-        else:
-            span = np.eye(dim, dtype=complex)
-        if into is not None and into.shape[1]:
-            span = _within(span, range_basis(into, tol_rel, scale=anchor), tol_rel)
+        out = ranks.get((level, q))
+        into = ranks.get((level - r, q + r - 1))
+        span = out.kernel_basis if out is not None else np.eye(dim, dtype=complex)
+        if into is not None:
+            span = _within(span, into.range_basis, tol_rel)
         bases[(level, q)] = span
     return bases
 
@@ -899,6 +908,14 @@ def total_torsion(model: BottModel, mode: str = "auto", tol_rel: float = DEFAULT
     legal only when every block is a circle with nonsingular D. mode
     "full" runs the page-by-page pipeline. mode "auto" runs the full
     pipeline and cross-checks the fast product whenever it is legal.
+
+    Acyclic totals are canonical. Non-acyclic (relative) totals are
+    measured in E_1 coordinates, on the block cohomology bases; they can
+    differ from filtered_pages on the assembled complex, which measures
+    the ambient lift of each surviving class (the two differ when a
+    level-0 class needs a saddle component to become a cocycle). Moduli
+    are accumulated as sums of logs; a total outside the floating-point
+    range raises TorsionError.
     """
     if mode not in ("auto", "fast", "full"):
         raise InvalidInput(f"mode must be auto, fast or full, got {mode!r}")
@@ -918,6 +935,8 @@ def total_torsion(model: BottModel, mode: str = "auto", tol_rel: float = DEFAULT
             "offending blocks: " + ", ".join(offenders)
         )
 
+    # moduli are accumulated as sums of logs: a product of finite block
+    # factors in model order can leave the float range midway
     fast_value = None
     if fast_legal:
         log_fast = 0.0
@@ -926,9 +945,9 @@ def total_torsion(model: BottModel, mode: str = "auto", tol_rel: float = DEFAULT
             if det == 0.0:
                 raise FastPathUnavailable(f"block {b.id}: D is singular")
             log_fast += (-1) ** b.index * math.log(det)
-        fast_value = math.exp(log_fast)
 
     if mode == "fast":
+        fast_value = modulus_from_log(log_fast, "fast path product")
         tau_d0 = TorsionScalar(fast_value, ACYCLIC_NOTE)
         return TorsionReport(
             per_block=cohomologies,
@@ -956,7 +975,8 @@ def total_torsion(model: BottModel, mode: str = "auto", tol_rel: float = DEFAULT
     e1_dims = {key: n for key, n in e1_dims_full.items() if n}
     e2_dims = {key: n for key, n in e2_dims_full.items() if n}
 
-    tau_d0_mod = math.prod((coh.torsion_factor.modulus for coh in cohomologies), start=1.0)
+    log_d0 = math.fsum(math.log(coh.torsion_factor.modulus) for coh in cohomologies)
+    tau_d0_mod = modulus_from_log(log_d0, "tau_d0")
     all_blocks_acyclic = all(coh.acyclic for coh in cohomologies)
     tau_d0 = TorsionScalar(tau_d0_mod, ACYCLIC_NOTE if all_blocks_acyclic else RELATIVE_NOTE)
 
@@ -970,7 +990,8 @@ def total_torsion(model: BottModel, mode: str = "auto", tol_rel: float = DEFAULT
     einf_dims = {key: b.shape[1] for key, b in page3.items() if b.shape[1]}
     acyclic = not einf_dims
 
-    total_mod = tau_d0_mod * tau_d1.modulus * tau_d2.modulus
+    log_total = log_d0 + math.log(tau_d1.modulus) + math.log(tau_d2.modulus)
+    total_mod = modulus_from_log(log_total, "total torsion")
     total = TorsionScalar(total_mod, ACYCLIC_NOTE if acyclic else RELATIVE_NOTE)
 
     warnings = list(d1.warnings)
@@ -981,14 +1002,17 @@ def total_torsion(model: BottModel, mode: str = "auto", tol_rel: float = DEFAULT
         )
 
     mode_used = "full"
-    if mode == "auto" and fast_legal:
-        mode_used = "auto"
-        rel = abs(fast_value - total_mod) / max(abs(fast_value), 1e-300)
-        if not (rel <= 1e-8):
-            raise TorsionError(
-                f"fast path {fast_value:.12g} and full pipeline {total_mod:.12g} "
-                f"disagree (rel {rel:.3e})"
-            )
+    if fast_legal:
+        if mode == "auto":
+            mode_used = "auto"
+            # a log difference of 1e-8 is a relative difference of 1e-8
+            diff = abs(log_fast - log_total)
+            if not (diff <= 1e-8):
+                raise TorsionError(
+                    f"fast path log-modulus {log_fast:.12g} and full pipeline "
+                    f"{log_total:.12g} disagree (difference {diff:.3e})"
+                )
+        fast_value = modulus_from_log(log_fast, "fast path product")
 
     return TorsionReport(
         per_block=cohomologies,

@@ -28,6 +28,8 @@ for a two-term complex 0 -> V -A-> W -> 0 with invertible A it is |det A|.
 """
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -54,6 +56,21 @@ class TorsionScalar:
 
     def __float__(self) -> float:
         return self.modulus
+
+
+_LOG_MAX = math.log(sys.float_info.max)
+_LOG_MIN = math.log(sys.float_info.min)
+
+
+def modulus_from_log(log_modulus: float, what: str) -> float:
+    """exp(log_modulus), raising TorsionError where that is not a normal
+    positive float (overflow to inf, underflow towards 0, or nan)."""
+    if not (_LOG_MIN <= log_modulus <= _LOG_MAX):
+        raise TorsionError(
+            f"{what}: log-modulus {log_modulus:.6g} lies outside the floating-point "
+            f"range [{_LOG_MIN:.6g}, {_LOG_MAX:.6g}]"
+        )
+    return math.exp(log_modulus)
 
 
 def _max_abs(a: np.ndarray) -> float:
@@ -229,7 +246,12 @@ def complex_torsion(
         if dim_h > 0:
             acyclic = False
         if i in supplied:
-            boundaries = range_basis(c.diff(i - 1), tol_rel, scale=c.rank_scale)
+            # im d^(i-1) from the same SVD that decided its rank (ranks[-1]
+            # is the top degree, not degree -1)
+            if i > 0:
+                boundaries = ranks[i - 1].range_basis
+            else:
+                boundaries = np.zeros((c.dim(i), 0), dtype=complex)
             h = _check_supplied_cohomology(
                 c, i, supplied[i], rank_out, rank_in, boundaries, tol_rel
             )
@@ -263,28 +285,14 @@ def map_torsion(
     """Torsion of the two-term complex 0 -> V -a-> W -> 0.
 
     ker_basis must span ker a and coker_basis must span a complement of
-    im a in W (both checked against the SVD rank decision). For invertible
-    a this is |det a|; for a = 0 with the preferred bases it is 1. `scale`
-    anchors the rank decision as in rank_nullspace.
+    im a in W; complex_torsion checks both against its rank decision and
+    raises BasisMismatch otherwise. For invertible a this is |det a|; for
+    a = 0 with the preferred bases it is 1. `scale` anchors the rank
+    decision as in rank_nullspace.
     """
     a = as_cmatrix(a, "map")
-    res = rank_nullspace(a, tol_rel, scale=scale)
-    ker = as_cmatrix(ker_basis, "kernel basis")
-    cok = as_cmatrix(coker_basis, "cokernel basis")
-    if ker.shape != (a.shape[1], a.shape[1] - res.rank):
-        raise BasisMismatch(
-            f"kernel basis shape {ker.shape}, expected {(a.shape[1], a.shape[1] - res.rank)}"
-        )
-    if cok.shape != (a.shape[0], a.shape[0] - res.rank):
-        raise BasisMismatch(
-            f"cokernel basis shape {cok.shape}, expected {(a.shape[0], a.shape[0] - res.rank)}"
-        )
-    if ker.size:
-        scale = max(1.0, _max_abs(a)) * max(1.0, _max_abs(ker))
-        if _max_abs(a @ ker) > STRUCT_TOL * scale:
-            raise BasisMismatch("kernel basis does not lie in ker a")
     two_term = BasedComplex([a.shape[1], a.shape[0]], [a], rank_scale=scale)
-    return complex_torsion(two_term, {0: ker, 1: cok}, tol_rel=tol_rel)
+    return complex_torsion(two_term, {0: ker_basis, 1: coker_basis}, tol_rel=tol_rel)
 
 
 def _class_coords(vectors, h_basis, boundary_basis, what, tol_rel):

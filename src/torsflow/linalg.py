@@ -15,6 +15,13 @@ Conventions
   The residual sign/phase freedom of singular vectors never reaches a
   reported number: downstream torsion moduli are invariant under unitary
   changes of these bases.
+* One SVD per rank decision. rank_nullspace returns a RankResult that
+  carries everything later steps need from that one decomposition: the
+  rank, the kernel, cokernel, row-space and range bases, the singular
+  values and the threshold. Callers reuse it rather than decomposing the
+  same matrix again; the product of the kept singular values is the
+  torsion of the two-term complex on the SVD's own kernel and cokernel
+  bases.
 """
 from __future__ import annotations
 
@@ -48,16 +55,20 @@ class RankResult:
     """Rank decision for one matrix.
 
     kernel_basis has shape (cols, cols - rank), cokernel_basis has shape
-    (rows, rows - rank) and row_basis, spanning the orthogonal complement of
-    the kernel, has shape (cols, rank); all have orthonormal columns.
-    singular_values is non-increasing. tolerance_used is the absolute
-    threshold actually applied to the singular values.
+    (rows, rows - rank), row_basis, spanning the orthogonal complement of
+    the kernel, has shape (cols, rank) and range_basis, spanning the column
+    space, has shape (rows, rank); all have orthonormal columns and come
+    from one SVD (range_basis equals the range_basis() of the same matrix,
+    tolerance and scale). singular_values is non-increasing.
+    tolerance_used is the absolute threshold actually applied to the
+    singular values.
     """
 
     rank: int
     kernel_basis: np.ndarray
     cokernel_basis: np.ndarray
     row_basis: np.ndarray
+    range_basis: np.ndarray
     singular_values: np.ndarray
     tolerance_used: float
     ambiguous: bool = field(default=False)
@@ -71,6 +82,15 @@ def _svd(a: np.ndarray):
         vh = np.eye(cols, dtype=complex)
         return u, s, vh
     return np.linalg.svd(a, full_matrices=True)
+
+
+def _cut(a: np.ndarray, tol_rel: float, scale: float):
+    """The SVD of a and its rank under tol_rel * max(rows, cols) * sigma_max
+    (sigma_max anchored from below by scale, tol_rel itself for zero)."""
+    u, s, vh = _svd(a)
+    smax = max(float(s[0]) if s.size else 0.0, float(scale))
+    threshold = tol_rel * max(a.shape) * smax if smax > 0.0 else tol_rel
+    return u, s, vh, threshold, int(np.count_nonzero(s > threshold))
 
 
 def rank_nullspace(a, tol_rel: float = DEFAULT_TOL, scale: float = 0.0) -> RankResult:
@@ -91,11 +111,7 @@ def rank_nullspace(a, tol_rel: float = DEFAULT_TOL, scale: float = 0.0) -> RankR
     a = as_cmatrix(a)
     if not 0.0 < tol_rel < 1.0:
         raise InvalidInput(f"tol_rel must lie in (0, 1), got {tol_rel}")
-    rows, cols = a.shape
-    u, s, vh = _svd(a)
-    smax = max(float(s[0]) if s.size else 0.0, float(scale))
-    threshold = tol_rel * max(rows, cols) * smax if smax > 0.0 else tol_rel
-    rank = int(np.count_nonzero(s > threshold))
+    u, s, vh, threshold, rank = _cut(a, tol_rel, scale)
     ambiguous = bool(np.any((s > threshold / 10.0) & (s < threshold * 10.0)))
     if ambiguous:
         warnings.warn(
@@ -109,6 +125,7 @@ def rank_nullspace(a, tol_rel: float = DEFAULT_TOL, scale: float = 0.0) -> RankR
         kernel_basis=vh[rank:].conj().T,
         cokernel_basis=u[:, rank:],
         row_basis=vh[:rank].conj().T,
+        range_basis=u[:, :rank],
         singular_values=s,
         tolerance_used=threshold,
         ambiguous=ambiguous,
@@ -120,12 +137,18 @@ def range_basis(a, tol_rel: float = DEFAULT_TOL, scale: float = 0.0) -> np.ndarr
 
     `scale` has the same role as in rank_nullspace.
     """
-    a = as_cmatrix(a)
-    u, s, _ = _svd(a)
-    smax = max(float(s[0]) if s.size else 0.0, float(scale))
-    threshold = tol_rel * max(a.shape) * smax if smax > 0.0 else tol_rel
-    rank = int(np.count_nonzero(s > threshold))
+    u, _, _, _, rank = _cut(as_cmatrix(a), tol_rel, scale)
     return u[:, :rank]
+
+
+def operator_norm(a) -> float:
+    """Largest singular value of a, as sqrt of the top eigenvalue of the
+    smaller Gram matrix (no SVD); 0.0 for an empty matrix."""
+    a = as_cmatrix(a)
+    if a.size == 0:
+        return 0.0
+    gram = a.conj().T @ a if a.shape[1] <= a.shape[0] else a @ a.conj().T
+    return float(np.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)))
 
 
 def det_modulus(a) -> float:

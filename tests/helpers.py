@@ -36,6 +36,27 @@ def kovalevskaya_model(rep=None):
     return BottModel(rep, blocks, connections)
 
 
+def kovalevskaya_replica(k, m):
+    """k disjoint copies of the Kovalevskaya pattern in one model, with
+    rho(g) = -I_m, blocks ordered by tier; each copy has |tau| = 4^m."""
+    from torsflow import GradientConnection, Orbit
+
+    rep = Representation(m, {"g": -np.eye(m)})
+    tiers = ([], [], [])
+    connections = []
+    for c in range(k):
+        for i in (1, 2):
+            tiers[0].append(CriticalBlock(f"k{c}m{i}", "circle", 0.0, index=0, delta=+1, holonomy=()))
+            tiers[1].append(CriticalBlock(f"k{c}r{i}", "circle", 1.0, index=1, delta=-1, holonomy=("g",)))
+            connections += [
+                GradientConnection((f"k{c}r{i}", "w"), (f"k{c}m{i}", "w"), (Orbit(+1, ()), Orbit(-1, ("g",)))),
+                GradientConnection((f"k{c}r{i}", "z"), (f"k{c}m{i}", "z"), (Orbit(+1, ()),)),
+            ]
+        tiers[1].append(CriticalBlock(f"k{c}r3", "circle", 1.0, index=1, delta=+1, holonomy=("g",)))
+        tiers[2].append(CriticalBlock(f"k{c}n", "circle", 3.0, index=2, delta=+1, holonomy=("g",)))
+    return BottModel(rep, tuple(tiers[0] + tiers[1] + tiers[2]), tuple(connections))
+
+
 def rand_unitary(rng, m):
     """Haar-ish random unitary via QR with phase correction."""
     z = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))

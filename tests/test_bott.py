@@ -23,7 +23,7 @@ from torsflow import (
     total_torsion,
     validate_model,
 )
-from helpers import kovalevskaya_model, rand_unitary, random_circle_model
+from helpers import kovalevskaya_model, kovalevskaya_replica, rand_unitary, random_circle_model
 
 
 def simple_rep():
@@ -687,3 +687,106 @@ class TestComputedOnce:
         monkeypatch.setattr(bott, "det_modulus", lambda a: float("nan"))
         with pytest.raises(TorsionError, match="disagree"):
             total_torsion(model, mode="auto")
+
+    def test_one_svd_per_operator(self, monkeypatch):
+        # k = 4, m = 2 Kovalevskaya replica (24 circle blocks, acyclic):
+        # one SVD per block D, two d1 blocks decomposed once each for the
+        # kernel of their source and the range into their target, two
+        # intersections with that range, and the two nonzero differentials
+        # of the page-one torsion complex
+        calls = []
+        original = np.linalg.svd
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return original(a, *args, **kwargs)
+
+        model = kovalevskaya_replica(4, 2)
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        report = total_torsion(model)
+        assert report.total.modulus == pytest.approx(4.0 ** 8, rel=1e-12)
+        assert report.acyclic
+        assert len(calls) == 30
+
+
+class TestOneDecomposition:
+    """Circle factors, range bases and the Morse anchor come from one
+    decomposition per operator and match the separate computations."""
+
+    @pytest.mark.parametrize("m", [1, 3, 5])
+    @pytest.mark.parametrize("delta", [1, -1])
+    @pytest.mark.parametrize("u", [0, 1, 2])
+    def test_circle_factor_matches_map_torsion(self, m, delta, u):
+        from torsflow import map_torsion
+
+        rng = np.random.default_rng(100 * m + 10 * u + (delta > 0))
+        q = rand_unitary(rng, m)
+        generic = rand_unitary(rng, m)
+        # eigenvalue delta of multiplicity `fixed` makes D singular with
+        # that kernel dimension
+        for fixed in sorted({0, 1, m}):
+            phases = np.exp(1j * rng.uniform(0.3, 2 * np.pi - 0.3, size=m))
+            eig = np.where(np.arange(m) < fixed, delta, delta * phases)
+            holonomy = q @ np.diag(eig) @ q.conj().T
+            for g in (holonomy, generic):
+                rep = Representation(m, {"g": g})
+                block = CriticalBlock("c", "circle", 0.0, index=u, delta=delta, holonomy=("g",))
+                coh = block_cohomology(block, rep)
+                ker, coker = coh.bases[u], coh.bases[u + 1]
+                tau = map_torsion(coh.D, ker, coker, scale=1.0)
+                assert coh.torsion_factor.modulus == pytest.approx(
+                    tau.modulus ** ((-1) ** u), rel=1e-12
+                )
+                assert coh.torsion_factor.basis_note == tau.basis_note
+                if g is holonomy:
+                    assert ker.shape[1] == fixed
+
+    def test_anchor_is_largest_operator_norm(self):
+        rng = np.random.default_rng(7)
+        for model in (kovalevskaya_model(), kovalevskaya_replica(2, 3), random_circle_model(rng, m=3)):
+            fc = assemble_complex(model)
+            norms = [np.linalg.norm(d, 2) for d in fc.base.diffs if d.size]
+            assert fc.base.rank_scale == pytest.approx(max([1.0] + norms), rel=1e-12)
+        # the orbit sums I - rho(g) = 2 lift the Kovalevskaya norm off the unit floor
+        assert assemble_complex(kovalevskaya_model()).base.rank_scale == pytest.approx(2.0, rel=1e-12)
+
+
+def _doubling_model(minima, saddles, m=64):
+    """Circles with rho(g) = I_m and delta = -1, so every D is 2 I_m:
+    |tau| = 2^(m (minima - saddles))."""
+    rep = Representation(m, {"g": np.eye(m)})
+    blocks = [
+        CriticalBlock(f"m{i}", "circle", 0.0, index=0, delta=-1, holonomy=("g",))
+        for i in range(minima)
+    ] + [
+        CriticalBlock(f"s{i}", "circle", 1.0, index=1, delta=-1, holonomy=("g",))
+        for i in range(saddles)
+    ]
+    return BottModel(rep, tuple(blocks), ())
+
+
+class TestLogModulus:
+    """Block factors are accumulated as logs: a product that leaves the
+    float range midway still gives the right total, and a total outside
+    the range raises TorsionError."""
+
+    @pytest.mark.parametrize("mode", ["auto", "full", "fast"])
+    def test_partial_product_overflow_gives_the_total(self, mode):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = total_torsion(_doubling_model(17, 2), mode=mode)
+        assert report.total.modulus == pytest.approx(2.0 ** 960, rel=1e-12)
+        assert report.fast_total == pytest.approx(2.0 ** 960, rel=1e-12)
+
+    @pytest.mark.parametrize("mode", ["auto", "full", "fast"])
+    def test_total_outside_float_range_raises(self, mode):
+        import warnings
+
+        from torsflow import TorsionError
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(TorsionError, match="floating-point range"):
+                total_torsion(_doubling_model(17, 0), mode=mode)

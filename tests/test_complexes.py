@@ -150,6 +150,18 @@ class TestMapTorsion:
         tau = map_torsion(a, np.array([[0.0], [1.0]]), np.zeros((1, 0)))
         assert tau.modulus == pytest.approx(3.0, rel=1e-12)
 
+    def test_kernel_check_keeps_the_rank_scale(self):
+        # self-relative (scale 0) rank decision: diag(1e-12, 0) has rank 1;
+        # the kernel check must not anchor it at unit scale instead
+        e2 = np.array([[0.0], [1.0]])
+        tau = map_torsion(np.diag([1e-12, 0.0]), e2, e2)
+        assert tau.modulus == pytest.approx(1e-12, rel=1e-12)
+        assert tau.basis_note == RELATIVE_NOTE
+
+    def test_kernel_outside_ker_rejected(self):
+        with pytest.raises(BasisMismatch):
+            map_torsion(np.diag([2.0, 0.0]), np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]))
+
 
 class TestSesTorsion:
     def test_identity_sub(self):

@@ -144,3 +144,35 @@ def test_row_basis_complements_kernel():
     joint = np.concatenate([res.row_basis, res.kernel_basis], axis=1)
     assert np.allclose(joint.conj().T @ joint, np.eye(6), atol=1e-12)
     assert rank_nullspace(np.zeros((0, 5))).row_basis.shape == (5, 0)
+
+
+@pytest.mark.parametrize(
+    "shape, rank",
+    [((7, 3), 3), ((3, 7), 3), ((6, 5), 2), ((5, 6), 0), ((0, 4), 0), ((4, 0), 0), ((0, 0), 0)],
+    ids=["tall", "wide", "rank-deficient", "zero", "no-rows", "no-cols", "empty"],
+)
+def test_range_basis_from_the_rank_decision_svd(shape, rank):
+    from torsflow.linalg import range_basis
+
+    rng = np.random.default_rng(sum(shape) + rank)
+    rows, cols = shape
+    a = (rng.standard_normal((rows, rank)) + 1j * rng.standard_normal((rows, rank))) @ (
+        rng.standard_normal((rank, cols))
+    )
+    for scale in (0.0, 1.0):
+        res = rank_nullspace(a, scale=scale)
+        assert res.range_basis.shape == (rows, res.rank)
+        assert np.array_equal(res.range_basis, range_basis(a, scale=scale))
+    if rows and cols:
+        assert rank_nullspace(a).rank == rank
+
+
+def test_operator_norm_matches_two_norm():
+    from torsflow.linalg import operator_norm
+
+    rng = np.random.default_rng(11)
+    for shape in ((9, 4), (4, 9), (6, 6)):
+        a = 10.0 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        assert operator_norm(a) == pytest.approx(np.linalg.norm(a, 2), rel=1e-12)
+    assert operator_norm(np.zeros((3, 2))) == 0.0
+    assert operator_norm(np.zeros((0, 5))) == 0.0
