@@ -32,11 +32,13 @@ The reduced operator carries the connection orbit sums
 Sum_q I_q rho(alpha_q) between the licensed point pairs, conjugated onto
 the block cohomology bases, and on the level 0 -> 2 component also the
 path through each saddle block, -D_out D_s^+ D_in. Its level-raising
-slices are d1 and d2; one page step (kernel of the outgoing map,
-orthogonal to the image of the incoming one) gives E_2 and E_3, and the
-page torsions come from the spectral module. The total torsion modulus is
-the product of the block factors with the page torsions, and for
-all-circle acyclic models it collapses to the determinant product
+slices are d1 and d2. The spectral module's page step (kernel of the
+outgoing map, orthogonal to the image of the incoming one) gives E_2 and
+E_3, and from the same rank decisions the page torsions tau_d1 and
+tau_d2: a signed sum of the logs of each d_r block's kept singular
+values. The total torsion modulus is the product of the block factors
+with the page torsions, accumulated as a sum of logs, and for all-circle
+acyclic models it collapses to the determinant product
 prod |det D_i|^((-1)^u_i), available as the fast path.
 """
 from __future__ import annotations
@@ -69,7 +71,7 @@ from .errors import (
 )
 from .linalg import DEFAULT_TOL, RankResult, det_modulus, operator_norm, rank_nullspace
 from .representation import Representation, parse_word
-from .spectral import FilteredComplex, _page_torsion, _within
+from .spectral import FilteredComplex, _page_note, _page_step
 
 CIRCLE = "circle"
 TORUS = "torus"
@@ -470,9 +472,8 @@ def block_cohomology(
         bases = {n: ker, n + 1: coker}
         # on the SVD's own kernel and cokernel bases the two-term complex
         # 0 -> C^m -D-> C^m -> 0 has torsion prod of the kept singular values
-        log_tau = float(np.log(res.singular_values[: res.rank]).sum())
         factor = TorsionScalar(
-            modulus_from_log((-1) ** n * log_tau, f"block {block.id} torsion factor"),
+            modulus_from_log((-1) ** n * res.log_kept, f"block {block.id} torsion factor"),
             ACYCLIC_NOTE if k == 0 else RELATIVE_NOTE,
         )
         return BlockCohomology(
@@ -823,42 +824,20 @@ def _reduced_operator(model, morse, cohomologies, base, e1, tol_rel) -> list:
     return reduced
 
 
-def _page_step(dims: dict, diffs: dict, r: int, tol_rel: float, anchor: float) -> dict:
-    """The next page: per slot (level, q), an orthonormal basis of
-    ker(d_r out of the slot) meet (im d_r into it)^perp in the slot's
-    coordinates. diffs[(level, q)] maps the slot to (level + r, q - r + 1).
-    Each block is decomposed once: its rank decision gives the kernel in
-    its source slot and the range in its target slot."""
-    ranks = {key: rank_nullspace(mat, tol_rel, scale=anchor) for key, mat in diffs.items() if mat.size}
-    bases = {}
-    for (level, q), dim in dims.items():
-        if dim == 0:
-            bases[(level, q)] = np.zeros((0, 0), dtype=complex)
-            continue
-        out = ranks.get((level, q))
-        into = ranks.get((level - r, q + r - 1))
-        span = out.kernel_basis if out is not None else np.eye(dim, dtype=complex)
-        if into is not None:
-            span = _within(span, into.range_basis, tol_rel)
-        bases[(level, q)] = span
-    return bases
-
-
 @dataclass
 class PageTwo:
-    """Second page: orthonormal bases of ker d1 / im d1 in E_1 coordinates."""
+    """Second page: orthonormal bases of ker d1 / im d1 in E_1 coordinates,
+    and the log-torsion of the first page relative to them."""
 
     bases: dict
     d1: D1Data
-
-    def dim(self, level: int, q: int) -> int:
-        mat = self.bases.get((level, q))
-        return 0 if mat is None else mat.shape[1]
+    log_torsion: float
 
 
 def page_two(d1: D1Data, tol_rel: float = DEFAULT_TOL) -> PageTwo:
     anchor = max(1.0, d1.e1.anchor)
-    return PageTwo(bases=_page_step(d1.e1.dims(), d1.blocks, 1, tol_rel, anchor), d1=d1)
+    bases, log_tau = _page_step(d1.e1.dims(), d1.blocks, 1, tol_rel, anchor)
+    return PageTwo(bases=bases, d1=d1, log_torsion=log_tau)
 
 
 def assemble_d2(
@@ -980,17 +959,17 @@ def total_torsion(model: BottModel, mode: str = "auto", tol_rel: float = DEFAULT
     all_blocks_acyclic = all(coh.acyclic for coh in cohomologies)
     tau_d0 = TorsionScalar(tau_d0_mod, ACYCLIC_NOTE if all_blocks_acyclic else RELATIVE_NOTE)
 
-    tau_d1 = _page_torsion(4, 3, page2.bases, d1.blocks, 1, tol_rel, anchor)
+    tau_d1 = TorsionScalar(modulus_from_log(page2.log_torsion, "tau_d1"), _page_note(page2.bases))
 
     # third page: cohomology of (E_2, d_2); levels 0 and 2 move, level 1 is stable
     d2 = {(0, q): mat for q, mat in assemble_d2(model, morse, page2, tol_rel=tol_rel).items()}
-    page3 = _page_step(e2_dims_full, d2, 2, tol_rel, anchor)
-    tau_d2 = _page_torsion(4, 3, page3, d2, 2, tol_rel, anchor)
+    page3, log_d2 = _page_step(e2_dims_full, d2, 2, tol_rel, anchor)
+    tau_d2 = TorsionScalar(modulus_from_log(log_d2, "tau_d2"), _page_note(page3))
 
     einf_dims = {key: b.shape[1] for key, b in page3.items() if b.shape[1]}
     acyclic = not einf_dims
 
-    log_total = log_d0 + math.log(tau_d1.modulus) + math.log(tau_d2.modulus)
+    log_total = log_d0 + page2.log_torsion + log_d2
     total_mod = modulus_from_log(log_total, "total torsion")
     total = TorsionScalar(total_mod, ACYCLIC_NOTE if acyclic else RELATIVE_NOTE)
 

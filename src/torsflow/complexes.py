@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import BasisMismatch, InvalidInput, NotAComplex, NotExact, TorsionError
-from .linalg import DEFAULT_TOL, as_cmatrix, range_basis, rank_nullspace
+from .linalg import DEFAULT_TOL, as_cmatrix, operator_norm, range_basis, rank_nullspace
 
 #: basis_note flag values for TorsionScalar
 ACYCLIC_NOTE = "acyclic-canonical"
@@ -124,11 +124,7 @@ class BasedComplex:
 
     def operator_scale(self) -> float:
         """Largest singular value over all differentials (0 for zero complexes)."""
-        out = 0.0
-        for d in self.diffs:
-            if d.size:
-                out = max(out, float(np.linalg.norm(d, 2)))
-        return out
+        return max([0.0] + [operator_norm(d) for d in self.diffs])
 
     def dim(self, i: int) -> int:
         if 0 <= i < len(self.dims):
@@ -276,7 +272,7 @@ def complex_torsion(
         log_tau += (-1) ** (i + 1) * logdet
 
     note = ACYCLIC_NOTE if acyclic else RELATIVE_NOTE
-    return TorsionScalar(float(np.exp(log_tau)), note)
+    return TorsionScalar(modulus_from_log(log_tau, "complex torsion"), note)
 
 
 def map_torsion(

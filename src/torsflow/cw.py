@@ -20,7 +20,7 @@ import numpy as np
 
 from .complexes import BasedComplex, TorsionScalar, cohomology_bases, complex_torsion
 from .errors import InvalidCW, InvalidInput, NotAComplex
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, operator_norm
 from .representation import Representation, parse_word
 
 
@@ -118,10 +118,7 @@ def twisted_cochain(k_complex: CWComplex, rep: Representation, tol_rel: float = 
             diffs[k - 1][rows, cols] += t.incidence * rep.evaluate(t.path)
     # blocks are sums of unitaries: anchor rank decisions at the complex's
     # own scale so a boundary that cancels to rounding noise stays rank 0
-    anchor = 1.0
-    for d in diffs:
-        if d.size:
-            anchor = max(anchor, float(np.linalg.norm(d, 2)))
+    anchor = max([1.0] + [operator_norm(d) for d in diffs])
     try:
         return BasedComplex(dims, diffs, rank_scale=anchor)
     except NotAComplex as err:

@@ -25,6 +25,7 @@ Conventions
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -72,6 +73,13 @@ class RankResult:
     singular_values: np.ndarray
     tolerance_used: float
     ambiguous: bool = field(default=False)
+
+    @property
+    def log_kept(self) -> float:
+        """Sum of the logs of the kept singular values: log |det| of the map
+        from the row space onto the range, the torsion of the two-term
+        complex on this decision's own kernel and cokernel bases."""
+        return float(np.log(self.singular_values[: self.rank]).sum())
 
 
 def _svd(a: np.ndarray):
@@ -143,12 +151,17 @@ def range_basis(a, tol_rel: float = DEFAULT_TOL, scale: float = 0.0) -> np.ndarr
 
 def operator_norm(a) -> float:
     """Largest singular value of a, as sqrt of the top eigenvalue of the
-    smaller Gram matrix (no SVD); 0.0 for an empty matrix."""
+    smaller Gram matrix (no SVD); 0.0 for a zero or empty matrix. The Gram
+    matrix is formed from a scaled by a power of two (exact), so entries
+    beyond sqrt of the float range do not overflow it."""
     a = as_cmatrix(a)
-    if a.size == 0:
+    top = float(np.abs(a).max()) if a.size else 0.0
+    if top == 0.0:
         return 0.0
+    exp = math.frexp(top)[1]
+    a = a * math.ldexp(1.0, -exp)
     gram = a.conj().T @ a if a.shape[1] <= a.shape[0] else a @ a.conj().T
-    return float(np.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)))
+    return math.ldexp(math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)), exp)
 
 
 def det_modulus(a) -> float:
@@ -176,8 +189,4 @@ def singular_product(a, tol_rel: float = DEFAULT_TOL) -> float:
     determinant modulus of the map restricted to the orthogonal complement
     of its kernel, which is what torsion factors of non-acyclic blocks use.
     """
-    res = rank_nullspace(a, tol_rel)
-    kept = res.singular_values[: res.rank]
-    if kept.size == 0:
-        return 1.0
-    return float(np.exp(np.log(kept).sum()))
+    return float(np.exp(rank_nullspace(a, tol_rel).log_kept))

@@ -19,14 +19,22 @@ vectors of the numerator orthogonal to the denominator. The differential
 d_r maps E_r(n, q) to E_r(n+r, q-r+1) and is obtained by conjugating the
 ambient differential with those representative bases.
 
-Each page, graded by total degree n+q, is itself a based complex; its
-torsion is taken relative to the next page's representatives, and the
-product over all pages reproduces the torsion of the base complex relative
-to the cohomology basis induced by the last page. filtered_pages verifies
-that identity to 1e-8 relative on every call.
+Each page, graded by total degree n+q, is itself a based complex: the
+direct sum of its d_r blocks. Torsion is multiplicative over direct sums
+(Milnor 1966), so one page step decomposes each block once and reads the
+page torsion off those rank decisions. Relative to next-page bases H that
+are orthonormal, inside ker d_r and orthogonal to im d_r, the block out of
+slot (n, q) contributes (-1)^(n+q) log of its kept singular values. The
+ladder's next-page representatives, written in page-r coordinates C, are
+not orthonormal there; each slot adds (-1)^(n+q+1) log|det(H^H C)| for
+them. The product over all pages reproduces the torsion of the base
+complex relative to the cohomology basis induced by the last page.
+filtered_pages verifies that identity to 1e-8 relative on every call,
+against a direct complex_torsion of the base complex.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -39,6 +47,7 @@ from .complexes import (
     TorsionScalar,
     cohomology_dims,
     complex_torsion,
+    modulus_from_log,
 )
 from .errors import InvalidFiltration, TorsionError
 from .linalg import DEFAULT_TOL, range_basis, rank_nullspace
@@ -250,7 +259,7 @@ def filtered_pages(fc: FilteredComplex, tol_rel: float = DEFAULT_TOL) -> Spectra
         reps.append(page_reps)
 
     pages: list[Page] = []
-    product = 1.0
+    page_logs = []
     for r in range(L + 1):
         spaces = {}
         diffs = {}
@@ -261,10 +270,24 @@ def filtered_pages(fc: FilteredComplex, tol_rel: float = DEFAULT_TOL) -> Spectra
             if tgt is None:
                 tgt = np.zeros((base.dim(k + 1), 0), dtype=complex)
             diffs[(n, k - n)] = tgt.conj().T @ base.diff(k) @ src
-        coords = {(n, k - n): reps[r][(n, k)].conj().T @ reps[r + 1][(n, k)] for n, k in key_range()}
-        torsion = _page_torsion(len(base.dims), L, coords, diffs, r, tol_rel, anchor)
+        dims = {key: b.shape[1] for key, b in spaces.items()}
+        step, log_tau = _page_step(dims, diffs, r, tol_rel, anchor)
+        # the ladder's next-page classes, C in page-r coordinates, are not the
+        # step's orthonormal basis H: a slot in total degree k adds
+        # (-1)^(k+1) log|det(H^H C)|
+        terms = [log_tau]
+        for n, k in key_range():
+            h = step[(n, k - n)]
+            coords = reps[r][(n, k)].conj().T @ reps[r + 1][(n, k)]
+            if h.shape[1] != coords.shape[1]:
+                raise TorsionError(f"page {r}, slot {(n, k - n)}: page step and ladder disagree")
+            if coords.shape[1]:
+                terms.append((-1) ** (k + 1) * float(np.linalg.slogdet(h.conj().T @ coords)[1]))
+        log_tau = math.fsum(terms)
+        torsion = TorsionScalar(modulus_from_log(log_tau, f"page {r} torsion"), _page_note(step))
         pages.append(Page(r=r, spaces=spaces, diffs=diffs, torsion=torsion))
-        product *= torsion.modulus
+        page_logs.append(log_tau)
+    product = modulus_from_log(math.fsum(page_logs), "page torsion product")
 
     limit = reps[L]
     infinity_dims = {(n, k - n): limit[(n, k)].shape[1] for n, k in key_range()}
@@ -296,50 +319,36 @@ def filtered_pages(fc: FilteredComplex, tol_rel: float = DEFAULT_TOL) -> Spectra
     )
 
 
-def _page_torsion(num_degrees, L, next_coords, diffs, r, tol_rel, anchor) -> TorsionScalar:
-    """Torsion of one page, graded by total degree, relative to the next page.
+def _page_step(dims: dict, diffs: dict, r: int, tol_rel: float, anchor: float):
+    """One page step: the next page's bases and this page's log-torsion.
 
-    next_coords[(n, q)] is the next page's basis at a slot written in page-r
-    coordinates (shape dim E_r x dim E_{r+1}); it is the block-diagonal
-    cohomology basis of the page complex in each total degree, valid
-    because next-page cocycle spaces sit inside page-r ones. diffs[(n, q)]
-    is d_r out of the slot, missing where it is zero. Degrees run
-    0 .. num_degrees - 1 and levels 0 .. L - 1.
+    dims[(level, q)] is a slot's page dimension and diffs[(level, q)] the
+    matrix of d_r from it to (level + r, q - r + 1). Per slot the next page
+    is an orthonormal basis of ker(d_r out of the slot) meet (im d_r into
+    it)^perp, in the slot's coordinates. Each block is decomposed once: its
+    rank decision gives the kernel in its source slot, the range in its
+    target slot and, relative to these bases, its term (-1)^(level + q)
+    log_kept of the log-torsion.
     """
-    degrees = range(num_degrees)
-    offsets = []
-    dims = []
-    for k in degrees:
-        off = {}
-        pos = 0
-        for n in range(L):
-            off[n] = pos
-            pos += next_coords[(n, k - n)].shape[0]
-        offsets.append(off)
-        dims.append(pos)
+    ranks = {key: rank_nullspace(mat, tol_rel, scale=anchor) for key, mat in diffs.items() if mat.size}
+    bases = {}
+    for (level, q), dim in dims.items():
+        if dim == 0:
+            bases[(level, q)] = np.zeros((0, 0), dtype=complex)
+            continue
+        out = ranks.get((level, q))
+        into = ranks.get((level - r, q + r - 1))
+        span = out.kernel_basis if out is not None else np.eye(dim, dtype=complex)
+        if into is not None:
+            span = _within(span, into.range_basis, tol_rel)
+            if span.shape[1] != dim - into.rank - (out.rank if out is not None else 0):
+                raise TorsionError(f"page {r}, slot {(level, q)}: im d_{r} not inside ker d_{r}")
+        bases[(level, q)] = span
+    log_tau = math.fsum((-1) ** (level + q) * res.log_kept for (level, q), res in ranks.items())
+    return bases, log_tau
 
-    page_diffs = []
-    for k in degrees:
-        if k + 1 >= num_degrees:
-            break
-        mat = np.zeros((dims[k + 1], dims[k]), dtype=complex)
-        for n in range(L):
-            block = diffs.get((n, k - n))
-            if block is None or block.size == 0 or n + r >= L:
-                continue
-            r0 = offsets[k + 1][n + r]
-            c0 = offsets[k][n]
-            mat[r0 : r0 + block.shape[0], c0 : c0 + block.shape[1]] = block
-        page_diffs.append(mat)
-    page_complex = BasedComplex(dims, page_diffs, rank_scale=anchor)
 
-    h = {}
-    for k in degrees:
-        cols = []
-        for n in range(L):
-            coords = next_coords[(n, k - n)]
-            lifted = np.zeros((dims[k], coords.shape[1]), dtype=complex)
-            lifted[offsets[k][n] : offsets[k][n] + coords.shape[0]] = coords
-            cols.append(lifted)
-        h[k] = np.concatenate(cols, axis=1) if cols else np.zeros((dims[k], 0), dtype=complex)
-    return complex_torsion(page_complex, h, tol_rel=tol_rel)
+def _page_note(bases: dict) -> str:
+    """Basis note of a page torsion: canonical exactly when the next page
+    is zero in every slot."""
+    return RELATIVE_NOTE if any(b.shape[1] for b in bases.values()) else ACYCLIC_NOTE

@@ -145,6 +145,32 @@ def random_filtered_complex(rng, num_levels=3, max_degree=3, max_dim=8, density=
             diffs[i][b, a] = w
             used_src[i].add(a)
             used_tgt[i + 1].add(b)
+    return _filtered_conjugate(rng, dims, levels, diffs, num_levels)
+
+
+def random_acyclic_filtered_complex(rng, num_levels=3, max_degree=3, max_pairs=3):
+    """Acyclic d-stable filtered complex: every coordinate sits in one
+    level-compatible arrow, conjugated by a random filtered automorphism."""
+    pairs = [int(rng.integers(0, max_pairs + 1)) for _ in range(max_degree)]
+    dims = [0] * (max_degree + 1)
+    arrows = []
+    for i, count in enumerate(pairs):
+        for _ in range(count):
+            lo = int(rng.integers(0, num_levels))
+            hi = int(rng.integers(lo, num_levels))
+            arrows.append((i, dims[i], dims[i + 1], lo, hi))
+            dims[i] += 1
+            dims[i + 1] += 1
+    levels = [np.zeros(d, dtype=int) for d in dims]
+    diffs = [np.zeros((dims[i + 1], dims[i]), dtype=complex) for i in range(max_degree)]
+    for i, a, b, lo, hi in arrows:
+        levels[i][a], levels[i + 1][b] = lo, hi
+        w = rng.standard_normal() + 1j * rng.standard_normal()
+        diffs[i][b, a] = w + 2.0 if abs(w) < 0.3 else w
+    return _filtered_conjugate(rng, dims, levels, diffs, num_levels)
+
+
+def _filtered_conjugate(rng, dims, levels, diffs, num_levels):
     gs = []
     for i, d in enumerate(dims):
         g = np.eye(d, dtype=complex)
@@ -153,7 +179,7 @@ def random_filtered_complex(rng, num_levels=3, max_degree=3, max_dim=8, density=
             allowed = levels[i][:, None] >= levels[i][None, :]
             g = g + np.where(allowed, noise, 0) * (1 - np.eye(d))
         gs.append(g)
-    mixed = [gs[i + 1] @ diffs[i] @ np.linalg.inv(gs[i]) for i in range(max_degree)]
+    mixed = [gs[i + 1] @ diffs[i] @ np.linalg.inv(gs[i]) for i in range(len(diffs))]
     return FilteredComplex(BasedComplex(dims, mixed), levels, num_levels)
 
 

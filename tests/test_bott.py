@@ -691,9 +691,9 @@ class TestComputedOnce:
     def test_one_svd_per_operator(self, monkeypatch):
         # k = 4, m = 2 Kovalevskaya replica (24 circle blocks, acyclic):
         # one SVD per block D, two d1 blocks decomposed once each for the
-        # kernel of their source and the range into their target, two
-        # intersections with that range, and the two nonzero differentials
-        # of the page-one torsion complex
+        # kernel of their source, the range into their target and the
+        # page-one torsion, and two intersections with that range; the
+        # page-one torsion complex is not decomposed again
         calls = []
         original = np.linalg.svd
 
@@ -706,7 +706,7 @@ class TestComputedOnce:
         report = total_torsion(model)
         assert report.total.modulus == pytest.approx(4.0 ** 8, rel=1e-12)
         assert report.acyclic
-        assert len(calls) == 30
+        assert len(calls) == 28
 
 
 class TestOneDecomposition:

@@ -9,6 +9,7 @@ from torsflow import (
     InvalidInput,
     NotAComplex,
     NotExact,
+    TorsionError,
     cohomology_dims,
     complex_torsion,
     map_torsion,
@@ -122,6 +123,13 @@ class TestComplexTorsion:
         c = BasedComplex([3], [])
         tau = complex_torsion(c, {0: np.eye(3, dtype=complex)})
         assert tau.modulus == pytest.approx(1.0)
+
+    def test_out_of_range_torsion_raises(self):
+        # |tau| = |det D| = 1e400 lies past the floating-point range: a
+        # typed error, not inf
+        c = BasedComplex([2, 2], [np.diag([1e200, 1e200])])
+        with pytest.raises(TorsionError, match="floating-point range"):
+            complex_torsion(c)
 
 
 class TestMapTorsion:

@@ -176,3 +176,11 @@ def test_operator_norm_matches_two_norm():
         assert operator_norm(a) == pytest.approx(np.linalg.norm(a, 2), rel=1e-12)
     assert operator_norm(np.zeros((3, 2))) == 0.0
     assert operator_norm(np.zeros((0, 5))) == 0.0
+
+
+def test_operator_norm_beyond_the_gram_range():
+    # the Gram matrix of entries past sqrt of the float range would overflow
+    from torsflow.linalg import operator_norm
+
+    assert operator_norm(np.diag([1e200, 3e200])) == pytest.approx(3e200, rel=1e-12)
+    assert operator_norm(np.diag([1e-200, 3e-200])) == pytest.approx(3e-200, rel=1e-12)

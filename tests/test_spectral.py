@@ -5,11 +5,13 @@ from torsflow import (
     BasedComplex,
     FilteredComplex,
     InvalidFiltration,
+    Representation,
+    assemble_complex,
     cohomology_dims,
     complex_torsion,
     filtered_pages,
 )
-from helpers import random_filtered_complex
+from helpers import kovalevskaya_model, random_acyclic_filtered_complex, random_filtered_complex
 
 
 def test_one_step_filtration_is_plain_cohomology():
@@ -149,3 +151,85 @@ def test_rank_scale_anchors_page_rank_decisions():
     res = filtered_pages(FilteredComplex(base, levels, 3))
     assert {k: v for k, v in res.infinity_dims.items() if v} == {(2, 0): 3, (2, 1): 3}
     assert res.total.modulus == pytest.approx(complex_torsion(base).modulus, rel=1e-12)
+
+
+def test_operator_scale_beyond_the_gram_range():
+    # the anchor is the operator norm of a 1e160 entry, whose square
+    # overflows: the page ranks and the torsion must still come out right
+    base = BasedComplex([1, 1], [np.array([[1e160]])])
+    res = filtered_pages(FilteredComplex(base, [np.zeros(1, int), np.zeros(1, int)], 1))
+    assert res.pages[0].torsion.modulus == pytest.approx(1e160, rel=1e-12)
+    assert not any(res.infinity_dims.values())
+
+
+
+def _assembled_page_torsion(fc, page, next_page):
+    """Reference: the page complex assembled by total degree from the page's
+    d_r blocks, its torsion from complex_torsion relative to the next
+    page's classes C written in page-r coordinates (the ladder's, not
+    orthonormal in general)."""
+    num_degrees, L, r = len(fc.base.dims), fc.num_levels, page.r
+    offsets, dims = [], []
+    for k in range(num_degrees):
+        off, pos = {}, 0
+        for n in range(L):
+            off[n] = pos
+            pos += page.spaces[(n, k - n)].shape[1]
+        offsets.append(off)
+        dims.append(pos)
+    diffs = []
+    for k in range(num_degrees - 1):
+        mat = np.zeros((dims[k + 1], dims[k]), dtype=complex)
+        for n in range(L - r):
+            block = page.diffs[(n, k - n)]
+            r0, c0 = offsets[k + 1][n + r], offsets[k][n]
+            mat[r0 : r0 + block.shape[0], c0 : c0 + block.shape[1]] = block
+        diffs.append(mat)
+    classes = {}
+    for k in range(num_degrees):
+        cols = []
+        for n in range(L):
+            coords = page.spaces[(n, k - n)].conj().T @ next_page.spaces[(n, k - n)]
+            lifted = np.zeros((dims[k], coords.shape[1]), dtype=complex)
+            lifted[offsets[k][n] : offsets[k][n] + coords.shape[0]] = coords
+            cols.append(lifted)
+        classes[k] = np.concatenate(cols, axis=1)
+    anchor = max(fc.base.rank_scale, fc.base.operator_scale())
+    return complex_torsion(BasedComplex(dims, diffs, rank_scale=anchor), classes)
+
+
+def _check_pages_against_assembly(fc):
+    """Every page torsion against the assembled reference; returns whether
+    the limit page is nonzero and whether some ladder coordinates C are not
+    orthonormal (so the log|det(H^H C)| correction is exercised)."""
+    res = filtered_pages(fc)
+    skewed = False
+    for page, next_page in zip(res.pages, res.pages[1:]):
+        ref = _assembled_page_torsion(fc, page, next_page)
+        assert page.torsion.modulus == pytest.approx(ref.modulus, rel=1e-10)
+        assert page.torsion.basis_note == ref.basis_note
+        for key, basis in page.spaces.items():
+            coords = basis.conj().T @ next_page.spaces[key]
+            if coords.size and abs(np.linalg.slogdet(coords.conj().T @ coords)[1]) > 1e-6:
+                skewed = True
+    return any(res.infinity_dims.values()), skewed
+
+
+def test_page_torsions_match_the_assembled_page_complex():
+    rng = np.random.default_rng(35)
+    for _ in range(15):
+        nonacyclic, _ = _check_pages_against_assembly(random_acyclic_filtered_complex(rng))
+        assert not nonacyclic
+    skewed = 0
+    for _ in range(15):
+        nonacyclic, skew = _check_pages_against_assembly(random_filtered_complex(rng))
+        assert nonacyclic
+        skewed += skew
+    assert skewed > 3
+
+
+def test_morse_page_torsions_match_the_assembled_page_complex():
+    # trivial-representation Kovalevskaya model: E_2 and E_inf are nonzero
+    model = kovalevskaya_model(Representation(1, {"g": [[1.0]]}))
+    nonacyclic, _ = _check_pages_against_assembly(assemble_complex(model))
+    assert nonacyclic
