@@ -28,15 +28,13 @@ for a two-term complex 0 -> V -A-> W -> 0 with invertible A it is |det A|.
 """
 from __future__ import annotations
 
-import math
-import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import BasisMismatch, InvalidInput, NotAComplex, NotExact, TorsionError
-from .linalg import DEFAULT_TOL, as_cmatrix, operator_norm, range_basis, rank_nullspace
+from .linalg import DEFAULT_TOL, as_cmatrix, modulus_from_log, operator_norm, range_basis, rank_nullspace
 
 #: basis_note flag values for TorsionScalar
 ACYCLIC_NOTE = "acyclic-canonical"
@@ -56,21 +54,6 @@ class TorsionScalar:
 
     def __float__(self) -> float:
         return self.modulus
-
-
-_LOG_MAX = math.log(sys.float_info.max)
-_LOG_MIN = math.log(sys.float_info.min)
-
-
-def modulus_from_log(log_modulus: float, what: str) -> float:
-    """exp(log_modulus), raising TorsionError where that is not a normal
-    positive float (overflow to inf, underflow towards 0, or nan)."""
-    if not (_LOG_MIN <= log_modulus <= _LOG_MAX):
-        raise TorsionError(
-            f"{what}: log-modulus {log_modulus:.6g} lies outside the floating-point "
-            f"range [{_LOG_MIN:.6g}, {_LOG_MAX:.6g}]"
-        )
-    return math.exp(log_modulus)
 
 
 def _max_abs(a: np.ndarray) -> float:
@@ -154,10 +137,6 @@ def shifted_complex(
     return BasedComplex(pad + list(dims), pad_d + join + list(diffs), rank_scale=rank_scale)
 
 
-def _kernel(a: np.ndarray, tol_rel: float, scale: float = 0.0) -> np.ndarray:
-    return rank_nullspace(a, tol_rel, scale=scale).kernel_basis
-
-
 def cohomology_bases(c: BasedComplex, tol_rel: float = DEFAULT_TOL) -> list[np.ndarray]:
     """Orthonormal harmonic representatives of H^i, one column block per degree.
 
@@ -167,7 +146,7 @@ def cohomology_bases(c: BasedComplex, tol_rel: float = DEFAULT_TOL) -> list[np.n
     out = []
     for i in range(len(c.dims)):
         stacked = np.concatenate([c.diff(i), c.diff(i - 1).conj().T], axis=0)
-        out.append(_kernel(stacked, tol_rel, c.rank_scale))
+        out.append(rank_nullspace(stacked, tol_rel, scale=c.rank_scale).kernel_basis)
     return out
 
 
@@ -195,6 +174,16 @@ def _check_supplied_cohomology(c, i, h, rank_out, rank_in, boundaries, tol_rel):
     return h
 
 
+def _within(span: np.ndarray, constraint: np.ndarray, tol_rel: float) -> np.ndarray:
+    """Orthonormal basis of (column span of `span`) intersected with the
+    orthogonal complement of `constraint`. Both inputs have orthonormal
+    columns, so 1.0 is the honest scale for the rank decision."""
+    if span.shape[1] == 0 or constraint.shape[1] == 0:
+        return span
+    coeff = rank_nullspace(constraint.conj().T @ span, tol_rel, scale=1.0).kernel_basis
+    return span @ coeff
+
+
 def complex_torsion(
     c: BasedComplex,
     cohomology_bases_by_degree: Optional[dict[int, np.ndarray]] = None,
@@ -204,14 +193,20 @@ def complex_torsion(
     """Torsion modulus of a based complex relative to its preferred bases.
 
     If the complex has cohomology and no bases are supplied, orthonormal
-    harmonic bases are computed and the result is flagged
-    relative-to-computed-cohomology-bases. `complements` overrides the
-    internal choice of a complement of the cocycles in chosen degrees; any
-    complement gives the same modulus for acyclic complexes, which the test
-    suite exercises.
+    harmonic bases are taken from the rank decisions already made, one per
+    differential: H^i = ker d^i cut against im d^(i-1). The result is then
+    flagged relative-to-computed-cohomology-bases. `complements` overrides
+    the internal choice of a complement of the cocycles in chosen degrees;
+    any complement gives the same modulus for acyclic complexes, which the
+    test suite exercises.
     """
+    return _dims_and_torsion(c, cohomology_bases_by_degree, complements, tol_rel)[1]
+
+
+def _dims_and_torsion(c, supplied, complements, tol_rel) -> tuple[tuple[int, ...], TorsionScalar]:
+    """complex_torsion together with the cohomology dimension of each degree."""
     ranks = [rank_nullspace(c.diff(i), tol_rel, scale=c.rank_scale) for i in range(len(c.dims))]
-    supplied = cohomology_bases_by_degree or {}
+    supplied = supplied or {}
     complements = complements or {}
 
     t_bases: list[np.ndarray] = []
@@ -232,33 +227,31 @@ def complex_torsion(
         t_bases.append(t)
 
     log_tau = 0.0
-    acyclic = True
+    h_dims = []
     for i in range(len(c.dims)):
         rank_out = ranks[i].rank
         rank_in = ranks[i - 1].rank if i > 0 else 0
         dim_h = c.dim(i) - rank_out - rank_in
         if dim_h < 0:
             raise TorsionError(f"degree {i}: negative cohomology dimension, bad ranks")
-        if dim_h > 0:
-            acyclic = False
+        # im d^(i-1) from the same SVD that decided its rank (ranks[-1] is
+        # the top degree, not degree -1)
+        if i > 0:
+            boundaries = ranks[i - 1].range_basis
+        else:
+            boundaries = np.zeros((c.dim(i), 0), dtype=complex)
         if i in supplied:
-            # im d^(i-1) from the same SVD that decided its rank (ranks[-1]
-            # is the top degree, not degree -1)
-            if i > 0:
-                boundaries = ranks[i - 1].range_basis
-            else:
-                boundaries = np.zeros((c.dim(i), 0), dtype=complex)
             h = _check_supplied_cohomology(
                 c, i, supplied[i], rank_out, rank_in, boundaries, tol_rel
             )
         else:
-            stacked = np.concatenate([c.diff(i), c.diff(i - 1).conj().T], axis=0)
-            h = _kernel(stacked, tol_rel, c.rank_scale)
+            h = _within(ranks[i].kernel_basis, boundaries, tol_rel)
             if h.shape[1] != dim_h:
                 raise TorsionError(
                     f"degree {i}: harmonic dimension {h.shape[1]} != expected {dim_h}"
                 )
         d_prev_t = c.diff(i - 1) @ t_bases[i - 1] if i > 0 else np.zeros((c.dim(i), 0), dtype=complex)
+        h_dims.append(h.shape[1])
         m = np.concatenate([d_prev_t, h, t_bases[i]], axis=1)
         if m.shape[1] != c.dim(i):
             raise BasisMismatch(
@@ -271,8 +264,8 @@ def complex_torsion(
             raise BasisMismatch(f"degree {i}: assembled basis is singular")
         log_tau += (-1) ** (i + 1) * logdet
 
-    note = ACYCLIC_NOTE if acyclic else RELATIVE_NOTE
-    return TorsionScalar(modulus_from_log(log_tau, "complex torsion"), note)
+    note = RELATIVE_NOTE if any(h_dims) else ACYCLIC_NOTE
+    return tuple(h_dims), TorsionScalar(modulus_from_log(log_tau, "complex torsion"), note)
 
 
 def map_torsion(

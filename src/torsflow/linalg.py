@@ -26,15 +26,30 @@ Conventions
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, TorsionError
 
 #: Default relative tolerance for rank decisions, user overridable.
 DEFAULT_TOL = 1e-10
+
+_LOG_MAX = math.log(sys.float_info.max)
+_LOG_MIN = math.log(sys.float_info.min)
+
+
+def modulus_from_log(log_modulus: float, what: str) -> float:
+    """exp(log_modulus), raising TorsionError where that is not a normal
+    positive float (overflow to inf, underflow towards 0, or nan)."""
+    if not (_LOG_MIN <= log_modulus <= _LOG_MAX):
+        raise TorsionError(
+            f"{what}: log-modulus {log_modulus:.6g} lies outside the floating-point "
+            f"range [{_LOG_MIN:.6g}, {_LOG_MAX:.6g}]"
+        )
+    return math.exp(log_modulus)
 
 
 class AmbiguousRankWarning(UserWarning):
@@ -168,7 +183,8 @@ def det_modulus(a) -> float:
     """|det a| via a pivoted factorization, exactly 0.0 for rank-deficient input.
 
     Rank deficiency is decided with the default tolerance, so a numerically
-    singular matrix reports 0 instead of a meaningless tiny modulus.
+    singular matrix reports 0 instead of a meaningless tiny modulus. A
+    modulus outside the float range raises TorsionError.
     """
     a = as_cmatrix(a)
     rows, cols = a.shape
@@ -179,7 +195,7 @@ def det_modulus(a) -> float:
     if rank_nullspace(a).rank < rows:
         return 0.0
     _, logdet = np.linalg.slogdet(a)
-    return float(np.exp(logdet))
+    return modulus_from_log(float(logdet), "determinant")
 
 
 def singular_product(a, tol_rel: float = DEFAULT_TOL) -> float:
@@ -188,5 +204,6 @@ def singular_product(a, tol_rel: float = DEFAULT_TOL) -> float:
     For an invertible matrix this equals |det a|; in general it is the
     determinant modulus of the map restricted to the orthogonal complement
     of its kernel, which is what torsion factors of non-acyclic blocks use.
+    A product outside the float range raises TorsionError.
     """
-    return float(np.exp(rank_nullspace(a, tol_rel).log_kept))
+    return modulus_from_log(rank_nullspace(a, tol_rel).log_kept, "singular product")

@@ -45,6 +45,7 @@ from .complexes import (
     RELATIVE_NOTE,
     BasedComplex,
     TorsionScalar,
+    _within,
     cohomology_dims,
     complex_torsion,
     modulus_from_log,
@@ -193,16 +194,6 @@ def _zspace(
         return np.eye(dim, dtype=complex)
     stacked = np.concatenate(rows, axis=0)
     return rank_nullspace(stacked, tol_rel, scale=max(1.0, anchor)).kernel_basis
-
-
-def _within(span: np.ndarray, constraint: np.ndarray, tol_rel: float) -> np.ndarray:
-    """Orthonormal basis of (column span of `span`) intersected with the
-    orthogonal complement of `constraint`. Both inputs have orthonormal
-    columns, so 1.0 is the honest scale for the rank decision."""
-    if span.shape[1] == 0 or constraint.shape[1] == 0:
-        return span
-    coeff = rank_nullspace(constraint.conj().T @ span, tol_rel, scale=1.0).kernel_basis
-    return span @ coeff
 
 
 def filtered_pages(fc: FilteredComplex, tol_rel: float = DEFAULT_TOL) -> SpectralResult:

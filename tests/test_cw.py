@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from torsflow import (
+    RELATIVE_NOTE,
+    CWComplex,
     InvalidCW,
     InvalidInput,
     Representation,
@@ -175,3 +177,120 @@ def test_document_round_trip():
             assert cw_torsion(back, r)[1].modulus == pytest.approx(
                 cw_torsion(k, r)[1].modulus, rel=1e-12
             )
+
+
+# ---------------------------------------------------------------------------
+# one prefix walk per twisted_cochain, one rank decision per differential
+
+
+def word_cochain(k, rep):
+    """Reference cochain: every block from rep.evaluate of its whole path."""
+    m = rep.dim
+    pos = {c: i for d in range(4) for i, c in enumerate(k.cells[d])}
+    dims = [m * len(k.cells[d]) for d in range(4)]
+    diffs = [np.zeros((dims[d + 1], dims[d]), dtype=complex) for d in range(3)]
+    for cell, terms in k.boundaries.items():
+        rows = slice(pos[cell] * m, (pos[cell] + 1) * m)
+        for t in terms:
+            cols = slice(pos[t.face] * m, (pos[t.face] + 1) * m)
+            diffs[k.dim_of[cell] - 1][rows, cols] += t.incidence * rep.evaluate(t.path)
+    return diffs
+
+
+def lens_rep(rng, p, m, ones=0):
+    """rho(t) = V diag(zeta^a_j) V^H with `ones` exponents a_j = 0."""
+    a = np.concatenate([np.zeros(ones, dtype=int), rng.integers(1, p, size=m - ones)])
+    v = rand_unitary(rng, m)
+    t = v @ np.diag(np.exp(2j * np.pi * a / p)) @ v.conj().T
+    return Representation(m, {"t": t}), a
+
+
+def surface_reps(rng):
+    """Seeded 3x3 unitaries on the torus (commuting a, b) and the Klein
+    bottle (b a b^-1 = a^-1)."""
+    v = rand_unitary(rng, 3)
+    phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=(3, 3)))
+    conj = lambda d: v @ d @ v.conj().T
+    torus_rep = Representation(3, {"a": conj(np.diag(phases[0])), "b": conj(np.diag(phases[1]))})
+    theta = phases[2, 0]
+    swap = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]]) @ np.diag(phases[2])
+    klein_rep = Representation(3, {"a": conj(np.diag([theta, np.conj(theta), 1])), "b": conj(swap)})
+    return [(torus(), torus_rep), (klein_bottle(), klein_rep)]
+
+
+def test_prefix_walk_matches_word_evaluation():
+    rng = np.random.default_rng(71)
+    cases = [
+        (lens_space(p, q), lens_rep(rng, p, m)[0])
+        for p, q in [(2, 1), (31, 7), (97, 54)]
+        for m in (1, 4, 48)
+    ]
+    cases += surface_reps(rng)
+    cases += [(elementary_expansion(k, i % 2), rep) for i, (k, rep) in enumerate(cases)]
+    for k, rep in cases:
+        c = twisted_cochain(k, rep)
+        # the reference keeps the empty top differentials that twisted_cochain drops
+        for got, want in zip(c.diffs, word_cochain(k, rep)):
+            assert np.array_equal(got, want)
+
+
+def test_prefix_walk_token_products(monkeypatch):
+    # boundary words t^0 .. t^96 and t^(q*): one product per new letter
+    rep = lens_rep(np.random.default_rng(72), 97, 48)[0]
+    calls = []
+    original = Representation.token_matrix
+
+    def counted(self, token):
+        calls.append(token)
+        return original(self, token)
+
+    monkeypatch.setattr(Representation, "token_matrix", counted)
+    twisted_cochain(lens_space(97, 54), rep)
+    assert len(calls) == 96
+
+
+def test_long_word_before_its_prefixes():
+    # t^1499 is listed before all its prefixes: the walk evaluates it
+    # letter by letter without recursing
+    p, a = 1500, 7
+    lens = lens_space(p, 1)
+    boundaries = dict(lens.boundaries)
+    boundaries["f"] = sorted(boundaries["f"], key=lambda t: -len(t.path))
+    assert len(boundaries["f"][0].path) == p - 1
+    k = CWComplex({d: list(lens.cells[d]) for d in range(4)}, boundaries)
+    zeta = np.exp(2j * np.pi / p)
+    dims, tau = cw_torsion(k, char_rep(zeta ** a))
+    assert dims == (0, 0, 0, 0)
+    qstar = 1
+    expect = abs(zeta ** a - 1) * abs(zeta ** (a * qstar) - 1)
+    assert tau.modulus == pytest.approx(expect, rel=1e-8)
+
+
+@pytest.mark.parametrize("ones, svds", [(0, 5), (3, 6)])
+def test_one_rank_decision_per_differential(monkeypatch, ones, svds):
+    # L(97, 54), m = 48: one SVD per nonempty differential (3) and one cut
+    # of ker d^i against im d^(i-1) in each degree where both are nonzero
+    # (degrees 1 and 3; degree 2 too when rho has trivial eigenvalues)
+    p, q = 97, 54
+    rep, a = lens_rep(np.random.default_rng(73), p, 48, ones=ones)
+    calls = []
+    original = np.linalg.svd
+
+    def counted(x, *args, **kwargs):
+        calls.append(np.shape(x))
+        return original(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    dims, tau = cw_torsion(lens_space(p, q), rep)
+    assert len(calls) == svds
+    qstar = pow(q, -1, p)
+    zeta = np.exp(2j * np.pi / p)
+    # a nontrivial eigenvalue zeta^a contributes |zeta^a - 1||zeta^(a q*) - 1|,
+    # a trivial one 1/p relative to the harmonic basis
+    log_expect = -ones * np.log(p) + sum(
+        np.log(abs(zeta ** x - 1)) + np.log(abs(zeta ** (x * qstar % p) - 1)) for x in a[ones:]
+    )
+    assert np.log(tau.modulus) == pytest.approx(log_expect, abs=1e-8)
+    assert dims == (ones, 0, 0, ones)
+    if ones:
+        assert tau.basis_note == RELATIVE_NOTE

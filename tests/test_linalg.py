@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from torsflow import AmbiguousRankWarning, InvalidInput, det_modulus, rank_nullspace, singular_product
+from torsflow import (
+    AmbiguousRankWarning,
+    InvalidInput,
+    TorsionError,
+    det_modulus,
+    rank_nullspace,
+    singular_product,
+)
 from helpers import rand_unitary
 
 
@@ -134,6 +141,15 @@ def test_singular_product_matches_det_for_invertible():
     rng = np.random.default_rng(4)
     a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)) + 2 * np.eye(5)
     assert singular_product(a) == pytest.approx(det_modulus(a), rel=1e-10)
+
+
+@pytest.mark.parametrize("fn", [det_modulus, singular_product])
+@pytest.mark.parametrize("entry", [1e200, 1e-200])
+def test_modulus_outside_float_range_raises(fn, entry):
+    # full rank at its own scale, but |det| = entry^2 is no normal float:
+    # a typed error, not inf or 0 with a numpy overflow warning
+    with pytest.raises(TorsionError, match="floating-point range"):
+        fn(np.diag([entry, entry]))
 
 
 def test_row_basis_complements_kernel():
