@@ -57,6 +57,7 @@ from .complexes import (
     STRUCT_TOL,
     BasedComplex,
     TorsionScalar,
+    _within,
     modulus_from_log,
 )
 from .errors import (
@@ -505,11 +506,10 @@ def block_cohomology(
         )
     d = np.concatenate([da, db], axis=0)            # C^m p -> C^m q (+) C^m r
     d_star = np.concatenate([db, a - eye], axis=1)  # C^m q (+) C^m r -> C^m s
-    ker = rank_nullspace(d, tol_rel, scale=1.0).kernel_basis
-    top = rank_nullspace(d_star.conj().T, tol_rel, scale=1.0).kernel_basis  # coker D*
-    middle_basis = rank_nullspace(
-        np.concatenate([d_star, d.conj().T], axis=0), tol_rel, scale=1.0
-    ).kernel_basis  # ker D* orthogonal to im D
+    # one rank decision each: ker D, coker D*, and ker D* cut against im D
+    res, res_star = (rank_nullspace(op, tol_rel, scale=1.0) for op in (d, d_star))
+    ker, top = res.kernel_basis, res_star.cokernel_basis
+    middle_basis = _within(res_star.kernel_basis, res.range_basis, tol_rel)
     dims = {}
     for degree, basis in ((n - 1, ker), (n, middle_basis), (n + 1, top)):
         if basis.shape[1]:

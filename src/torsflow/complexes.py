@@ -140,18 +140,28 @@ def shifted_complex(
 def cohomology_bases(c: BasedComplex, tol_rel: float = DEFAULT_TOL) -> list[np.ndarray]:
     """Orthonormal harmonic representatives of H^i, one column block per degree.
 
-    Harmonic means: in ker d^i and orthogonal to im d^{i-1}, computed as the
-    kernel of the stacked matrix [d^i ; (d^{i-1})^H].
+    Harmonic means: in ker d^i and orthogonal to im d^{i-1}. Both come from
+    one rank decision per differential, and H^i is ker d^i cut against
+    im d^(i-1) by _within; no stacked kernel is formed.
     """
-    out = []
-    for i in range(len(c.dims)):
-        stacked = np.concatenate([c.diff(i), c.diff(i - 1).conj().T], axis=0)
-        out.append(rank_nullspace(stacked, tol_rel, scale=c.rank_scale).kernel_basis)
-    return out
+    return _harmonic_bases(c, tol_rel)[2]
 
 
 def cohomology_dims(c: BasedComplex, tol_rel: float = DEFAULT_TOL) -> tuple[int, ...]:
     return tuple(b.shape[1] for b in cohomology_bases(c, tol_rel))
+
+
+def _harmonic_bases(c: BasedComplex, tol_rel: float, skip=()) -> tuple[list, list, list]:
+    """One rank decision per differential; from those decisions the basis
+    of each im d^(i-1) and, in every degree not in `skip` (None there), the
+    harmonic basis H^i = ker d^i cut against im d^(i-1)."""
+    ranks = [rank_nullspace(c.diff(i), tol_rel, scale=c.rank_scale) for i in range(len(c.dims))]
+    bounds = [np.zeros((c.dim(0), 0), dtype=complex)] + [res.range_basis for res in ranks[:-1]]
+    bases = [
+        None if i in skip else _within(ranks[i].kernel_basis, bounds[i], tol_rel)
+        for i in range(len(c.dims))
+    ]
+    return ranks, bounds, bases
 
 
 def _check_supplied_cohomology(c, i, h, rank_out, rank_in, boundaries, tol_rel):
@@ -176,8 +186,10 @@ def _check_supplied_cohomology(c, i, h, rank_out, rank_in, boundaries, tol_rel):
 
 def _within(span: np.ndarray, constraint: np.ndarray, tol_rel: float) -> np.ndarray:
     """Orthonormal basis of (column span of `span`) intersected with the
-    orthogonal complement of `constraint`. Both inputs have orthonormal
-    columns, so 1.0 is the honest scale for the rank decision."""
+    orthogonal complement of the columns of `constraint`. `span` has
+    orthonormal columns; `constraint` is orthonormal or a concatenation of
+    orthonormal pieces, whose spans may overlap. Every column then has unit
+    norm, so 1.0 is the honest scale for the rank decision."""
     if span.shape[1] == 0 or constraint.shape[1] == 0:
         return span
     coeff = rank_nullspace(constraint.conj().T @ span, tol_rel, scale=1.0).kernel_basis
@@ -205,9 +217,9 @@ def complex_torsion(
 
 def _dims_and_torsion(c, supplied, complements, tol_rel) -> tuple[tuple[int, ...], TorsionScalar]:
     """complex_torsion together with the cohomology dimension of each degree."""
-    ranks = [rank_nullspace(c.diff(i), tol_rel, scale=c.rank_scale) for i in range(len(c.dims))]
     supplied = supplied or {}
     complements = complements or {}
+    ranks, bounds, harmonic = _harmonic_bases(c, tol_rel, skip=supplied)
 
     t_bases: list[np.ndarray] = []
     for i in range(len(c.dims)):
@@ -234,18 +246,12 @@ def _dims_and_torsion(c, supplied, complements, tol_rel) -> tuple[tuple[int, ...
         dim_h = c.dim(i) - rank_out - rank_in
         if dim_h < 0:
             raise TorsionError(f"degree {i}: negative cohomology dimension, bad ranks")
-        # im d^(i-1) from the same SVD that decided its rank (ranks[-1] is
-        # the top degree, not degree -1)
-        if i > 0:
-            boundaries = ranks[i - 1].range_basis
-        else:
-            boundaries = np.zeros((c.dim(i), 0), dtype=complex)
         if i in supplied:
             h = _check_supplied_cohomology(
-                c, i, supplied[i], rank_out, rank_in, boundaries, tol_rel
+                c, i, supplied[i], rank_out, rank_in, bounds[i], tol_rel
             )
         else:
-            h = _within(ranks[i].kernel_basis, boundaries, tol_rel)
+            h = harmonic[i]
             if h.shape[1] != dim_h:
                 raise TorsionError(
                     f"degree {i}: harmonic dimension {h.shape[1]} != expected {dim_h}"

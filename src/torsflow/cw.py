@@ -40,7 +40,7 @@ class BoundaryTerm:
 
     def __post_init__(self):
         object.__setattr__(self, "path", parse_word(self.path))
-        if not isinstance(self.incidence, int):
+        if not isinstance(self.incidence, int) or isinstance(self.incidence, bool):
             raise InvalidInput(f"incidence must be an integer, got {self.incidence!r}")
 
 

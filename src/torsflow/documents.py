@@ -46,14 +46,18 @@ def load_json(path) -> dict:
     return doc
 
 
+def _has_type(value, types) -> bool:
+    # bool is an int subtype in Python but never valid in these documents
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
 def _expect(doc, key, types, where, optional=False, default=None):
     if key not in doc:
         if optional:
             return default
         raise ParseError(f"{where}: missing field {key!r}")
     value = doc[key]
-    # bool is an int subtype in Python but never valid in these documents
-    if isinstance(value, bool) or not isinstance(value, types):
+    if not _has_type(value, types):
         raise ParseError(f"{where}.{key}: unexpected type {type(value).__name__}")
     return value
 
@@ -72,7 +76,7 @@ def parse_complex_matrix(rows, where) -> np.ndarray:
             if (
                 not isinstance(entry, list)
                 or len(entry) != 2
-                or not all(isinstance(x, (int, float)) for x in entry)
+                or not all(_has_type(x, (int, float)) for x in entry)
             ):
                 raise ParseError(f"{where}[{i}][{j}]: entries are [re, im] pairs")
             entries.append(complex(entry[0], entry[1]))
@@ -193,7 +197,7 @@ def parse_cw(doc, where="cw") -> CWComplex:
             face = term[0]
             incidence = term[1]
             word = parse_word(term[2] if len(term) == 3 else [], f"{where}.boundaries.{cell}[{i}]")
-            if not isinstance(face, str) or not isinstance(incidence, int):
+            if not isinstance(face, str) or not _has_type(incidence, int):
                 raise ParseError(f"{where}.boundaries.{cell}[{i}]: bad face or incidence")
             parsed.append((face, incidence, word))
         boundaries[cell] = parsed

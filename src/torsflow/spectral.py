@@ -15,7 +15,10 @@ Pages are computed from the classical cocycle ladders
 
 realised concretely as orthonormal column bases of subquotient
 representatives inside the ambient degree spaces: representatives are the
-vectors of the numerator orthogonal to the denominator. The differential
+vectors of the numerator orthogonal to the denominator. Each subspace is
+one rank decision on one operator at its own scale: Z_r(n, k) is the
+kernel of d restricted to F_n and the rows outside F_{n+r}, d Z_{r-1} is
+cut alone, and both orthonormal pieces meet Z_r in _within. The differential
 d_r maps E_r(n, q) to E_r(n+r, q-r+1) and is obtained by conjugating the
 ambient differential with those representative bases.
 
@@ -46,7 +49,6 @@ from .complexes import (
     BasedComplex,
     TorsionScalar,
     _within,
-    cohomology_dims,
     complex_torsion,
     modulus_from_log,
 )
@@ -122,12 +124,6 @@ class FilteredComplex:
                     f"into level {self.levels[i + 1][r]}"
                 )
 
-    def membership_rows(self, n: int, i: int) -> np.ndarray:
-        """Rows of the identity selecting coordinates outside F_n in degree i."""
-        mask = self.levels[i] < n
-        eye = np.eye(self.base.dim(i), dtype=complex)
-        return eye[mask]
-
 
 @dataclass
 class Page:
@@ -177,23 +173,24 @@ def _zspace(
     """Orthonormal basis of {x in F_member^k : dx in F_target^{k+1}}.
 
     member below 0 means F_0 (everything); target below 1 imposes nothing,
-    target at or above the level count forces dx = 0. `anchor` is the
-    ambient operator scale used to keep rank decisions honest on rows that
-    vanish in exact arithmetic.
+    target at or above the level count forces dx = 0. It is the kernel of
+    d restricted to the member columns and the rows below the target, at
+    the ambient operator scale `anchor` the block was cut out of, so rows
+    that vanish in exact arithmetic stay rank zero.
     """
     dim = fc.base.dim(k)
     if member >= fc.num_levels or k < 0 or k >= len(fc.base.dims):
         return np.zeros((dim, 0), dtype=complex)
-    rows = []
-    if member > 0:
-        rows.append(fc.membership_rows(member, k))
-    if target > 0 and k + 1 < len(fc.base.dims):
-        mask = fc.levels[k + 1] < min(target, fc.num_levels)
-        rows.append(fc.base.diff(k)[mask])
-    if not rows:
-        return np.eye(dim, dtype=complex)
-    stacked = np.concatenate(rows, axis=0)
-    return rank_nullspace(stacked, tol_rel, scale=max(1.0, anchor)).kernel_basis
+    cols = fc.levels[k] >= member
+    rows = fc.levels[k + 1] < min(target, fc.num_levels) if k + 1 < len(fc.base.dims) else []
+    if not np.any(rows):
+        kernel = np.eye(int(cols.sum()), dtype=complex)
+    else:
+        restricted = fc.base.diff(k)[np.ix_(rows, cols)]
+        kernel = rank_nullspace(restricted, tol_rel, scale=max(1.0, anchor)).kernel_basis
+    z = np.zeros((dim, kernel.shape[1]), dtype=complex)
+    z[cols] = kernel
+    return z
 
 
 def filtered_pages(fc: FilteredComplex, tol_rel: float = DEFAULT_TOL) -> SpectralResult:
@@ -216,14 +213,20 @@ def filtered_pages(fc: FilteredComplex, tol_rel: float = DEFAULT_TOL) -> Spectra
             for n in range(L):
                 yield n, k
 
-    z_cache: dict = {}
+    cache: dict = {}
 
-    def zspace(member, target, k):
-        member = max(member, 0)
-        target = min(max(target, 0), L)
-        if (member, target, k) not in z_cache:
-            z_cache[(member, target, k)] = _zspace(fc, member, target, k, tol_rel, anchor)
-        return z_cache[(member, target, k)]
+    def zspace(member, target, k, image=False):
+        """Z(member, target, k), or with `image` a basis of d Z, once per key.
+        Not recursive: a closure that calls itself is a reference cycle,
+        which would keep the cache alive past the call."""
+        key = (max(member, 0), min(max(target, 0), L), k)
+        if key not in cache:
+            cache[key] = _zspace(fc, *key, tol_rel, anchor)
+        if image and (key, image) not in cache:
+            # a copy, so the cache does not hold the SVD's whole left factor
+            img = range_basis(base.diff(k) @ cache[key], tol_rel, scale=max(1.0, anchor))
+            cache[(key, image)] = img.copy()
+        return cache[(key, image)] if image else cache[key]
 
     reps: list[dict] = []
     for r in range(L + 2):
@@ -233,20 +236,11 @@ def filtered_pages(fc: FilteredComplex, tol_rel: float = DEFAULT_TOL) -> Spectra
             if z.shape[1] == 0:
                 page_reps[(n, k)] = z
                 continue
-            blocks = []
-            z_sub = zspace(n + 1, n + r, k)
-            if z_sub.shape[1]:
-                blocks.append(z_sub)
-            z_img = zspace(n - r + 1, n, k - 1)
-            if z_img.shape[1] and k >= 1:
-                blocks.append(base.diff(k - 1) @ z_img)
-            if blocks:
-                denom = range_basis(
-                    np.concatenate(blocks, axis=1), tol_rel, scale=max(1.0, anchor)
-                )
-            else:
-                denom = np.zeros((base.dim(k), 0), dtype=complex)
-            page_reps[(n, k)] = _within(z, denom, tol_rel)
+            # the denominator's two pieces, each orthonormal at its own scale
+            denom = [zspace(n + 1, n + r, k)]
+            if k >= 1:
+                denom.append(zspace(n - r + 1, n, k - 1, image=True))
+            page_reps[(n, k)] = _within(z, np.concatenate(denom, axis=1), tol_rel)
         reps.append(page_reps)
 
     pages: list[Page] = []
@@ -283,21 +277,14 @@ def filtered_pages(fc: FilteredComplex, tol_rel: float = DEFAULT_TOL) -> Spectra
     limit = reps[L]
     infinity_dims = {(n, k - n): limit[(n, k)].shape[1] for n, k in key_range()}
 
-    h_bases = {}
-    for k in degrees:
-        cols = [limit[(n, k)] for n in range(L)]
-        h_bases[k] = np.concatenate(cols, axis=1) if cols else np.zeros((base.dim(k), 0), dtype=complex)
+    # at least one level, so every degree has slots to concatenate
+    h_bases = {k: np.concatenate([limit[(n, k)] for n in range(L)], axis=1) for k in degrees}
     anchored = BasedComplex(base.dims, base.diffs, rank_scale=anchor)
     direct = complex_torsion(anchored, h_bases, tol_rel=tol_rel)
 
+    # complex_torsion has checked each limit basis against dim H^k
     rel = abs(product - direct.modulus) / max(direct.modulus, 1e-300)
-    h_dims = cohomology_dims(anchored, tol_rel)
-    for k in degrees:
-        spread = sum(infinity_dims[(n, k - n)] for n in range(L))
-        if spread != h_dims[k]:
-            raise TorsionError(
-                f"degree {k}: limit page dimensions sum to {spread}, H^{k} has dim {h_dims[k]}"
-            )
+    h_dims = tuple(h_bases[k].shape[1] for k in degrees)
     if not (rel <= 1e-8):
         raise TorsionError(
             f"page torsion product {product:.12g} disagrees with direct torsion "

@@ -254,3 +254,19 @@ def random_circle_model(rng, m=None, nonsingular=True):
             )
             value += 1.0
     return BottModel(rep, tuple(blocks), ())
+
+
+def stacked_kernel(rows, scale):
+    """Reference for the library's subspaces (filtration cocycles, harmonic
+    cohomology, the extremal block's middle degree): the kernel of the row
+    blocks stacked into one matrix, from one rank decision at `scale`."""
+    from torsflow.linalg import rank_nullspace
+
+    return rank_nullspace(np.concatenate(rows, axis=0), scale=scale).kernel_basis
+
+
+def assert_same_span(got, want, tol=1e-10):
+    """Orthonormal column bases of one subspace: equal dimension and equal
+    orthogonal projector."""
+    assert got.shape == want.shape
+    assert np.abs(got @ got.conj().T - want @ want.conj().T).max(initial=0.0) <= tol

@@ -23,7 +23,14 @@ from torsflow import (
     total_torsion,
     validate_model,
 )
-from helpers import kovalevskaya_model, kovalevskaya_replica, rand_unitary, random_circle_model
+from helpers import (
+    assert_same_span,
+    kovalevskaya_model,
+    kovalevskaya_replica,
+    rand_unitary,
+    random_circle_model,
+    stacked_kernel,
+)
 
 
 def simple_rep():
@@ -200,6 +207,32 @@ class TestBlockCohomology:
             expect = {0: k, 1: 2 * k, 2: k} if k else {}
             assert coh.dims == expect
             assert coh.torsion_factor.modulus == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("kind", ["torus", "klein"])
+    def test_middle_basis_matches_the_stacked_kernel(self, kind, m):
+        # ker D* cut against im D, from one rank decision each, spans the
+        # kernel of the stacked [D* ; D^H]; rho(beta) = +/-1 on an
+        # eigenvector kills the beta part, rho(alpha) = 1 the alpha part,
+        # and in every other draw the first eigenvector has both
+        rng = np.random.default_rng(40 + m)
+        fixed_b = 1.0 if kind == "torus" else -1.0
+        middle = 0
+        for j in range(8):
+            v = rand_unitary(rng, m)
+            phases_a = np.where(rng.random(m) < 0.5, 1.0, np.exp(1j * rng.uniform(0.3, 3.0, m)))
+            phases_b = np.where(rng.random(m) < 0.5, fixed_b, np.exp(1j * rng.uniform(0.3, 3.0, m)))
+            if j % 2 == 0:
+                phases_a[0], phases_b[0] = 1.0, fixed_b
+            conj = lambda phases: v @ np.diag(phases) @ v.conj().T
+            rep = Representation(m, {"a": conj(phases_a), "b": conj(phases_b)})
+            block = CriticalBlock("T", kind, 0.0, extremal="min", alpha=("a",), beta=("b",))
+            coh = block_cohomology(block, rep)
+            assert not coh.warnings
+            h = coh.bases[block.middle_degree]
+            assert_same_span(h, stacked_kernel([coh.D_star, coh.D.conj().T], 1.0))
+            middle += h.shape[1]
+        assert middle > 0
 
 
 class TestExpandMorse:

@@ -110,6 +110,30 @@ def test_oracle_cw_document(tmp_path, capsys):
     assert "torsion modulus: 4.00000000" in out
 
 
+def test_boolean_entries_exit_3(tmp_path, capsys):
+    # JSON true/false is never a number here, though Python's bool is an int
+    from torsflow import ParseError, rp3
+    from torsflow.documents import parse_complex_matrix
+
+    with pytest.raises(ParseError):
+        parse_complex_matrix([[[True, False]]], "g")
+    doc = json.loads(open(KOVALEVSKAYA).read())
+    doc["representation"]["generators"]["g"] = [[[True, False]]]
+    path = tmp_path / "bool_entry.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, ["compute", "--input", str(path)])
+    assert code == 3
+    assert "[re, im] pairs" in err
+    cw = rp3().to_document()
+    cell, terms = next(iter(cw["boundaries"].items()))
+    terms[0][1] = True
+    path = tmp_path / "bool_incidence.json"
+    path.write_text(json.dumps({"cw": cw}))
+    code, _, err = run(capsys, ["oracle", "--cw", str(path), "--rep", REP_MINUS_ONE])
+    assert code == 3
+    assert "incidence" in err
+
+
 def test_oracle_json_format(capsys):
     code, out, _ = run(capsys, ["oracle", "--lens", "5,1", "--format", "json"])
     assert code == 0

@@ -10,13 +10,21 @@ from torsflow import (
     NotAComplex,
     NotExact,
     TorsionError,
+    cohomology_bases,
     cohomology_dims,
     complex_torsion,
     map_torsion,
     ses_torsion,
     shifted_complex,
 )
-from helpers import rand_complex_matrix, random_acyclic_complex, random_based_complex, random_ses
+from helpers import (
+    assert_same_span,
+    rand_complex_matrix,
+    random_acyclic_complex,
+    random_based_complex,
+    random_ses,
+    stacked_kernel,
+)
 
 
 def two_term(a):
@@ -296,3 +304,17 @@ def test_cohomology_dims_of_random_complex():
     lhs = sum((-1) ** i * d for i, d in enumerate(c.dims))
     rhs = sum((-1) ** i * d for i, d in enumerate(dims))
     assert lhs == rhs
+
+
+def test_cohomology_bases_match_the_stacked_kernel():
+    # ker d^i and im d^(i-1), each from its own rank decision and cut by
+    # _within, span the kernel of the stacked [d^i ; (d^(i-1))^H]
+    rng = np.random.default_rng(26)
+    cases = [random_based_complex(rng, list(rng.integers(1, 6, size=4))) for _ in range(10)]
+    cases += [random_acyclic_complex(rng) for _ in range(10)]
+    nonzero = 0
+    for c in cases:
+        for i, h in enumerate(cohomology_bases(c)):
+            assert_same_span(h, stacked_kernel([c.diff(i), c.diff(i - 1).conj().T], c.rank_scale))
+            nonzero += h.shape[1]
+    assert nonzero > 10

@@ -8,6 +8,7 @@ from torsflow import (
     InvalidInput,
     Representation,
     circle,
+    cohomology_bases,
     cw_torsion,
     elementary_expansion,
     klein_bottle,
@@ -19,7 +20,7 @@ from torsflow import (
     twisted_cochain,
 )
 from torsflow.documents import parse_cw
-from helpers import rand_unitary
+from helpers import assert_same_span, rand_unitary, stacked_kernel
 
 
 def char_rep(z):
@@ -164,6 +165,17 @@ class TestExpansionInvariance:
             assert tuple(dims1[: len(dims0)]) == dims0
 
 
+def test_boolean_incidence_rejected():
+    from torsflow import ParseError
+    from torsflow.cw import BoundaryTerm
+
+    with pytest.raises(InvalidInput):
+        BoundaryTerm("v", True)
+    doc = {"cells": {"0": ["v"], "1": ["e"]}, "boundaries": {"e": [["v", True, ["t"]], ["v", -1, []]]}}
+    with pytest.raises(ParseError):
+        parse_cw(doc)
+
+
 def test_document_round_trip():
     for k in (circle(), torus(), rp3()):
         doc = k.to_document()
@@ -216,6 +228,17 @@ def surface_reps(rng):
     swap = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]]) @ np.diag(phases[2])
     klein_rep = Representation(3, {"a": conj(np.diag([theta, np.conj(theta), 1])), "b": conj(swap)})
     return [(torus(), torus_rep), (klein_bottle(), klein_rep)]
+
+
+def test_lens_cohomology_bases_match_the_stacked_kernel():
+    # `ones` trivial eigenvalues of rho(t) give H = C^ones in degrees 0 and 3
+    rng = np.random.default_rng(74)
+    for p, q, m, ones in [(2, 1, 1, 0), (2, 1, 1, 1), (5, 2, 3, 1), (31, 7, 4, 2), (97, 54, 6, 0)]:
+        c = twisted_cochain(lens_space(p, q), lens_rep(rng, p, m, ones)[0])
+        bases = cohomology_bases(c)
+        assert [h.shape[1] for h in bases] == [ones, 0, 0, ones]
+        for i, h in enumerate(bases):
+            assert_same_span(h, stacked_kernel([c.diff(i), c.diff(i - 1).conj().T], c.rank_scale))
 
 
 def test_prefix_walk_matches_word_evaluation():

@@ -1,7 +1,12 @@
+import gc
+import warnings
+
 import numpy as np
 import pytest
 
 from torsflow import (
+    ACYCLIC_NOTE,
+    AmbiguousRankWarning,
     BasedComplex,
     FilteredComplex,
     InvalidFiltration,
@@ -11,7 +16,14 @@ from torsflow import (
     complex_torsion,
     filtered_pages,
 )
-from helpers import kovalevskaya_model, random_acyclic_filtered_complex, random_filtered_complex
+from torsflow.spectral import _zspace
+from helpers import (
+    assert_same_span,
+    kovalevskaya_model,
+    random_acyclic_filtered_complex,
+    random_filtered_complex,
+    stacked_kernel,
+)
 
 
 def test_one_step_filtration_is_plain_cohomology():
@@ -161,6 +173,78 @@ def test_operator_scale_beyond_the_gram_range():
     assert res.pages[0].torsion.modulus == pytest.approx(1e160, rel=1e-12)
     assert not any(res.infinity_dims.values())
 
+
+
+@pytest.mark.parametrize("s", [1e10, 1e12, 1e14])
+def test_large_norm_filtration(s):
+    # the filtration's membership constraints have no scale of their own:
+    # a well-conditioned complex of any norm keeps its exact page ranks
+    base = BasedComplex([2, 2], [np.diag([s, s / 10])])
+    fc = FilteredComplex(base, [np.array([0, 1]), np.array([0, 1])], 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", AmbiguousRankWarning)
+        res = filtered_pages(fc)
+    assert res.total.modulus == pytest.approx(s * s / 10, rel=1e-10)
+    assert res.total.basis_note == ACYCLIC_NOTE
+
+
+def _stacked_zspace(fc, member, target, k):
+    """Reference: Z(member, target, k) as the kernel of the identity rows
+    outside F_member stacked on the rows of d below F_target, at unit
+    scale."""
+    rows = [np.eye(fc.base.dim(k), dtype=complex)[fc.levels[k] < member]]
+    if k + 1 < len(fc.base.dims):
+        rows.append(fc.base.diff(k)[fc.levels[k + 1] < target])
+    return stacked_kernel(rows, 1.0)
+
+
+def test_zspace_matches_the_stacked_membership_kernel():
+    rng = np.random.default_rng(36)
+    cases = [random_filtered_complex(rng) for _ in range(8)]
+    cases += [random_acyclic_filtered_complex(rng) for _ in range(8)]
+    nonzero = 0
+    for fc in cases:
+        anchor = max(fc.base.rank_scale, fc.base.operator_scale())
+        for k in range(len(fc.base.dims)):
+            for member in range(fc.num_levels + 1):
+                for target in range(fc.num_levels + 1):
+                    z = _zspace(fc, member, target, k, 1e-10, anchor)
+                    assert_same_span(z, _stacked_zspace(fc, member, target, k))
+                    nonzero += z.shape[1]
+    assert nonzero > 100
+
+
+def test_svd_count_on_the_morse_complex(monkeypatch):
+    # trivial-representation Kovalevskaya Morse complex, three levels:
+    # 10 restricted kernels Z, 16 image ranges d Z (one per clamped key),
+    # 25 ladder intersections, 8 page-step block decisions and 1
+    # intersection, and in the direct check 3 differentials and 4
+    # independence checks of the supplied limit bases
+    fc = assemble_complex(kovalevskaya_model(Representation(1, {"g": [[1.0]]})))
+    calls = []
+    original = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    res = filtered_pages(fc)
+    assert res.total.modulus == pytest.approx(0.2, rel=1e-12)
+    assert len(calls) == 67
+
+
+def test_filtered_pages_leaves_no_reference_cycles():
+    # the subspace cache dies with the call; a cycle through it would keep
+    # every cached basis alive until the cyclic collector happens to run
+    fc = random_filtered_complex(np.random.default_rng(37))
+    gc.collect()
+    gc.disable()
+    try:
+        filtered_pages(fc)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _assembled_page_torsion(fc, page, next_page):
