@@ -40,12 +40,25 @@ values. The total torsion modulus is the product of the block factors
 with the page torsions, accumulated as a sum of logs, and for all-circle
 acyclic models it collapses to the determinant product
 prod |det D_i|^((-1)^u_i), available as the fast path.
+
+total_torsion never forms the dense Morse complex (assemble_complex does,
+for filtered_pages). The differential is held as m x m blocks, one per
+point pair; d*d = 0 is checked on the block products, and the reduced
+operator is summed block by block. The blocks joined by connections form
+connected components, and the Morse differential, the reduced operator
+and every page differential are direct sums over them (a zig-zag stays
+inside the component of its saddle). So the anchor's operator norm and
+every page decision are split over the components, each cut against the
+threshold of the whole operator (linalg.rank_direct_sum): the ranks are
+those of the whole, and torsion is multiplicative over direct sums
+(Milnor 1966).
 """
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
+from collections import Counter, defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -70,7 +83,7 @@ from .errors import (
     NotAComplex,
     TorsionError,
 )
-from .linalg import DEFAULT_TOL, RankResult, det_modulus, operator_norm, rank_nullspace
+from .linalg import DEFAULT_TOL, RankResult, column_labels, det_modulus, operator_norm, rank_nullspace
 from .representation import Representation, parse_word
 from .spectral import FilteredComplex, _page_note, _page_step
 
@@ -589,6 +602,102 @@ def _block_internal_components(block: CriticalBlock, coh: BlockCohomology):
     ]
 
 
+def _morse_differential(model: BottModel, cohomologies) -> dict:
+    """The Morse differential as m x m blocks keyed (k, target point, source
+    point), a point being (block id, label) and k the source degree: the
+    within-block matrices and the connection orbit sums, summed where one
+    pair carries several. Raises IllegalConnection for an unlicensed pair."""
+    rep = model.representation
+    blocks = model.block_map()
+    out: dict = {}
+
+    def add(key, mat):
+        out[key] = out[key] + mat if key in out else mat
+
+    for block, coh in zip(model.blocks, cohomologies):
+        for src, dst, mat in _block_internal_components(block, coh):
+            add((block.point_index(src), (block.id, dst), (block.id, src)), mat)
+    for conn in model.connections:
+        connection_kind(blocks, conn)
+        k = blocks[conn.to_point[0]].point_index(conn.to_point[1])
+        add((k, conn.from_point, conn.to_point), conn.matrix(rep))
+    return out
+
+
+def _not_a_complex(detail: str, cohomologies) -> NotAComplex:
+    hints = [w for coh in cohomologies for w in coh.warnings]
+    hint = f" ({'; '.join(hints)})" if hints else ""
+    return NotAComplex(
+        f"assembled Morse differential fails d*d = 0: {detail}{hint}; "
+        f"the supplied connection orbits are not consistent gradient data"
+    )
+
+
+def _check_square_zero(diff: dict, cohomologies) -> None:
+    """d*d = 0 on the nonzero block products: BasedComplex's entrywise test
+    at its global scale max|d^(k+1)| max|d^k|, without forming d."""
+    by_degree = [[] for _ in range(3)]
+    outgoing = defaultdict(list)
+    for (k, dst, src), mat in diff.items():
+        by_degree[k].append(mat)
+        outgoing[(k, src)].append((dst, mat))
+    top = [float(np.abs(np.array(mats)).max()) if mats else 0.0 for mats in by_degree]
+    for k in range(2):
+        products: dict = {}
+        for (degree, mid, src), mat in diff.items():
+            if degree != k:
+                continue
+            for dst, after in outgoing.get((k + 1, mid), ()):
+                term = after @ mat
+                products[(dst, src)] = products[(dst, src)] + term if (dst, src) in products else term
+        scale = max(1.0, top[k + 1] * top[k])
+        defect = float(np.abs(np.array(list(products.values()))).max()) if products else 0.0
+        if defect > STRUCT_TOL * scale:
+            raise _not_a_complex(
+                f"d^{k + 1} d^{k} has max entry {defect:.3e} (scale {scale:.3e})", cohomologies
+            )
+
+
+def _components(model: BottModel) -> dict:
+    """Connected component of each block, numbered in model order: blocks
+    joined by connections, found by union-find. The Morse differential,
+    and with it every page differential, is a direct sum over them."""
+    parent = {b.id: b.id for b in model.blocks}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for conn in model.connections:
+        parent[find(conn.from_point[0])] = find(conn.to_point[0])
+    roots: dict = {}
+    return {b.id: roots.setdefault(find(b.id), len(roots)) for b in model.blocks}
+
+
+def _morse_anchor(diff: dict, components: dict, m: int) -> float:
+    """max(1, operator norm of the Morse differential), the anchor of the
+    page decisions. Each (degree, component) block of d is laid out on its
+    own points, and blocks of equal shape share one stacked operator_norm."""
+    layout: dict = {}
+    for k, dst, src in diff:
+        rows, cols = layout.setdefault((k, components[src[0]]), ({}, {}))
+        rows.setdefault(dst, len(rows))
+        cols.setdefault(src, len(cols))
+    shapes = defaultdict(list)
+    for key, (rows, cols) in layout.items():
+        shapes[(len(rows) * m, len(cols) * m)].append(key)
+    stacks = {shape: np.zeros((len(keys), *shape), dtype=complex) for shape, keys in shapes.items()}
+    where = {key: (shape, i) for shape, keys in shapes.items() for i, key in enumerate(keys)}
+    for (k, dst, src), mat in diff.items():
+        key = (k, components[src[0]])
+        shape, i = where[key]
+        rows, cols = layout[key]
+        stacks[shape][i, rows[dst] * m : (rows[dst] + 1) * m, cols[src] * m : (cols[src] + 1) * m] = mat
+    return max([1.0] + [operator_norm(stack) for stack in stacks.values()])
+
+
 def assemble_complex(
     model: BottModel,
     morse: Optional[MorseData] = None,
@@ -599,7 +708,8 @@ def assemble_complex(
 
     Degree k is the direct sum of one C^m fiber per index-k point; the
     differential carries the within-block matrices plus the connection orbit
-    sums; the filtration level of a fiber is its block's level.
+    sums; the filtration level of a fiber is its block's level. This is the
+    dense complex filtered_pages runs on; total_torsion does not form it.
     """
     if morse is None:
         morse = expand_morse(model)
@@ -609,29 +719,17 @@ def assemble_complex(
         cohomologies = [block_cohomology(b, rep, tol_rel=tol_rel) for b in model.blocks]
     dims = [m * len(morse.points[k]) for k in range(4)]
     diffs = [np.zeros((dims[k + 1], dims[k]), dtype=complex) for k in range(3)]
-    blocks = model.block_map()
-
-    for block, coh in zip(model.blocks, cohomologies):
-        for src, dst, mat in _block_internal_components(block, coh):
-            ks, rows_s = morse.fiber(m, block.id, src)
-            kd, rows_d = morse.fiber(m, block.id, dst)
-            diffs[ks][rows_d, rows_s] += mat
-    for conn in model.connections:
-        connection_kind(blocks, conn)
-        ks, cols = morse.fiber(m, *conn.to_point)
-        kd, rows = morse.fiber(m, *conn.from_point)
-        diffs[ks][rows, cols] += conn.matrix(rep)
+    for (k, dst, src), mat in _morse_differential(model, cohomologies).items():
+        _, rows = morse.fiber(m, *dst)
+        _, cols = morse.fiber(m, *src)
+        diffs[k][rows, cols] = mat
 
     anchor = max([1.0] + [operator_norm(d) for d in diffs])
     try:
         base = BasedComplex(dims, diffs, rank_scale=anchor)
     except NotAComplex as err:
-        hints = [w for coh in cohomologies for w in coh.warnings]
-        hint = f" ({'; '.join(hints)})" if hints else ""
-        raise NotAComplex(
-            f"assembled Morse differential fails d*d = 0: {err}{hint}; "
-            f"the supplied connection orbits are not consistent gradient data"
-        ) from err
+        raise _not_a_complex(str(err), cohomologies) from err
+    blocks = model.block_map()
     levels = []
     for k in range(4):
         lv = np.zeros(dims[k], dtype=int)
@@ -649,69 +747,97 @@ def assemble_complex(
 class E1Data:
     """First page assembled from the block cohomologies.
 
-    ambient[k] is an orthonormal basis of E_1 in Morse degree k, in ambient
-    coordinates (dim of Morse degree x page dimension), the columns grouped
-    by level and within a level by block in model order; cols[(level, k)]
-    is the column range of one level.
+    E_1 in Morse degree k has its columns grouped by level and within a
+    level by block in model order; cols[(level, k)] is the column range of
+    one level. points[(block id, label)] = (level, k, offset, piece): piece
+    is the point's m fiber rows of its block's degree-k cohomology basis,
+    which fill the slot (level, k) from column offset on. labels[(level,
+    q)] is the connected component (_components) of each slot column's
+    block, and anchor the operator norm of the Morse differential.
     """
 
-    ambient: list
     cols: dict
-    anchor: float
+    points: dict
+    labels: dict
+    morse: MorseData
+    fiber_dim: int
+    anchor: float = 0.0
+
+    @property
+    def ambient(self) -> list:
+        """ambient[k]: the orthonormal E_1 basis in Morse degree k in ambient
+        coordinates (dim of Morse degree x page dimension), built on request
+        from the fiber pieces; the solve path never forms it."""
+        m = self.fiber_dim
+        out = [
+            np.zeros((m * len(self.morse.points[k]), self.cols[(2, k)].stop), dtype=complex)
+            for k in range(4)
+        ]
+        for (block_id, label), (level, k, offset, piece) in self.points.items():
+            _, rows = self.morse.fiber(m, block_id, label)
+            start = self.cols[(level, k)].start + offset
+            out[k][rows, start : start + piece.shape[1]] = piece
+        return out
 
     @property
     def basis(self) -> dict:
         """basis[(level, k)]: the ambient basis of E_1 at that slot."""
-        return {(level, k): self.ambient[k][:, s] for (level, k), s in self.cols.items()}
+        ambient = self.ambient
+        return {(level, k): ambient[k][:, s] for (level, k), s in self.cols.items()}
 
     def dims(self) -> dict:
         """Page dimension of every slot (level, q), levels outermost."""
         return {(level, k - level): s.stop - s.start for (level, k), s in self.cols.items()}
 
 
-def _build_e1(model, morse, cohomologies, complex_dims) -> E1Data:
+def _build_e1(model, morse, cohomologies, components) -> E1Data:
     m = model.representation.dim
+    levels = [block.level for block in model.blocks]
     width = Counter()
-    for block, coh in zip(model.blocks, cohomologies):
+    for level, coh in zip(levels, cohomologies):
         for k, b in coh.bases.items():
-            width[(block.level, k)] += b.shape[1]
+            width[(level, k)] += b.shape[1]
     cols = {}
     for level in range(3):
         for k in range(4):
             start = sum(width[(lower, k)] for lower in range(level))
             cols[(level, k)] = slice(start, start + width[(level, k)])
-    ambient = [np.zeros((complex_dims[k], cols[(2, k)].stop), dtype=complex) for k in range(4)]
-    pos = {key: s.start for key, s in cols.items()}
-    for block, coh in zip(model.blocks, cohomologies):
+    offset = Counter()
+    owners = defaultdict(list)
+    points = {}
+    for block, level, coh in zip(model.blocks, levels, cohomologies):
         # a degree's basis stacks the fibers of the block's points of that
         # index in label order (q above r for extremal blocks)
         used = Counter()
         for label in block.labels():
-            k, rows = morse.fiber(m, block.id, label)
-            b = coh.bases[k]
-            c = pos[(block.level, k)]
-            ambient[k][rows, c : c + b.shape[1]] = b[used[k] : used[k] + m]
+            k = block.point_index(label)
+            points[(block.id, label)] = (level, k, offset[(level, k)], coh.bases[k][used[k] : used[k] + m])
             used[k] += m
         for k, b in coh.bases.items():
-            pos[(block.level, k)] += b.shape[1]
-    return E1Data(ambient=ambient, cols=cols, anchor=0.0)
+            offset[(level, k)] += b.shape[1]
+            owners[(level, k)].append((components[block.id], b.shape[1]))
+    labels = {}
+    for level, k in cols:
+        comps, widths = zip(*owners[(level, k)]) if owners[(level, k)] else ((), ())
+        labels[(level, k - level)] = np.repeat(np.array(comps, dtype=int), np.array(widths, dtype=int))
+    return E1Data(cols=cols, points=points, labels=labels, morse=morse, fiber_dim=m)
 
 
 @dataclass
 class D1Data:
     """First-page differential blocks, E_1^(n,q) -> E_1^(n+1,q).
 
-    reduced[k] is the reduced first-page operator out of Morse degree k on
-    the E_1 bases (rows and columns laid out as e1.ambient); blocks are its
-    level n -> n + 1 slices.
+    The Morse differential reduced onto the E_1 bases is held by its
+    level-raising slices: blocks[(level, q)] out of E_1^(level, q) into
+    E_1^(level + 1, q) (d1), and skips[q] out of E_1^(0, q) into
+    E_1^(2, q - 1), which assemble_d2 conjugates onto the second page.
     """
 
     blocks: dict
+    skips: dict
     e1: E1Data
-    filtered: FilteredComplex
     cohomologies: list
     warnings: list
-    reduced: list
 
 
 def _missing_connection_warnings(model: BottModel) -> list[str]:
@@ -760,84 +886,105 @@ def assemble_d1(
 ) -> D1Data:
     """First-page differentials from the licensed connection components.
 
-    The Morse complex is reduced once onto the E_1 bases: the operator out
-    of degree k is E_{k+1}^H (D_k - D_k[:, S] h D_k[S, :]) E_k, where the
-    second term runs level 0 -> saddle -> level 2 through the pseudo-inverse
-    h of each saddle's own D (the zig-zag that eliminating the saddle's
-    acyclic part leaves behind). Its level n -> n + 1 slices, the orbit sums
-    of the supplied connections projected onto the block cohomology bases,
-    are d1; assemble_d2 reads the level 0 -> 2 slice. Licensed pairs with no
-    connection default to zero; the warnings then hold one summary line per
-    kind (d1, d2) with the number of such pairs and the first few of them.
+    The Morse differential is held as m x m blocks, one per point pair, and
+    checked for d*d = 0 on the block products. It is reduced once onto the
+    E_1 bases, block by block: a block M from point a to point b adds
+    B_b^H M B_a, B the points' rows of the block cohomology bases, and the
+    level 0 -> 2 slice also gets the zig-zag -D_out D_s^+ D_in through the
+    pseudo-inverse of each saddle's own D (what eliminating the saddle's
+    acyclic part leaves behind). The level n -> n + 1 slices are d1;
+    assemble_d2 reads the level 0 -> 2 slice. No dense ambient matrix is
+    formed. The anchor is the Morse operator norm, taken per connected
+    component. Licensed pairs with no connection default to zero; the
+    warnings then hold one summary line per kind (d1, d2) with the number
+    of such pairs and the first few of them.
     """
     if morse is None:
         morse = expand_morse(model)
     if cohomologies is None:
         cohomologies = [block_cohomology(b, model.representation, tol_rel=tol_rel) for b in model.blocks]
-    fc = assemble_complex(model, morse, cohomologies, tol_rel=tol_rel)
-    e1 = _build_e1(model, morse, cohomologies, fc.base.dims)
-    # the operator norm assemble_complex anchored its rank decisions with
-    e1.anchor = fc.base.rank_scale
+    diff = _morse_differential(model, cohomologies)
+    _check_square_zero(diff, cohomologies)
+    components = _components(model)
+    e1 = _build_e1(model, morse, cohomologies, components)
+    e1.anchor = _morse_anchor(diff, components, model.representation.dim)
 
     warnings = [w for coh in cohomologies for w in coh.warnings]
     warnings += _missing_connection_warnings(model)
 
-    reduced = _reduced_operator(model, morse, cohomologies, fc.base, e1, tol_rel)
+    blocks, skips = _reduced_operator(model, cohomologies, diff, e1)
+    return D1Data(blocks=blocks, skips=skips, e1=e1, cohomologies=cohomologies, warnings=warnings)
+
+
+def _reduced_operator(model, cohomologies, diff, e1) -> tuple:
+    """The level-raising slices of E^H (D - D[:, S] h D[S, :]) E, summed
+    block by block: (d1 blocks, level 0 -> 2 slices).
+
+    Same-level blocks vanish on the E_1 bases and are skipped. Only degree
+    1 -> 2 has zig-zags: h maps a saddle's z fiber to its w fiber, so they
+    need a level-0 orbit into s.z and a level-2 orbit out of s.w, and they
+    vanish for a saddle with D = 0.
+    """
+    size = e1.dims()
     blocks = {
-        (level, k - level): reduced[k][e1.cols[(level + 1, k + 1)], e1.cols[(level, k)]]
+        (level, k - level): np.zeros((size[(level + 1, k - level)], size[(level, k - level)]), dtype=complex)
         for level in range(2)
         for k in range(3)
     }
-    return D1Data(
-        blocks=blocks, e1=e1, filtered=fc, cohomologies=cohomologies, warnings=warnings, reduced=reduced
-    )
-
-
-def _reduced_operator(model, morse, cohomologies, base, e1, tol_rel) -> list:
-    """E_{k+1}^H (D_k - D_k[:, S] h D_k[S, :]) E_k for k = 0, 1, 2.
-
-    Only degree 1 -> 2 has zig-zags: h maps a saddle's z fiber to its w
-    fiber, so they need a level-0 orbit into s.z and a level-2 orbit out of
-    s.w, and they vanish for a saddle with D = 0.
-    """
-    amb = e1.ambient
-    reduced = [amb[k + 1].conj().T @ base.diff(k) @ amb[k] for k in range(3)]
-    src, tgt = e1.cols[(0, 1)], e1.cols[(2, 2)]
-    if src.start == src.stop or tgt.start == tgt.stop:
-        return reduced
-    fed = {conn.from_point[0] for conn in model.connections if conn.from_point[1] == "z"}
-    through = fed & {conn.to_point[0] for conn in model.connections if conn.to_point[1] == "w"}
-    d = base.diff(1)
-    m = model.representation.dim
-    for block, coh in zip(model.blocks, cohomologies):
-        if block.tier != _TIER_SADDLE or block.id not in through:
+    skips = {q: np.zeros((size[(2, q - 1)], size[(0, q)]), dtype=complex) for q in range(3)}
+    into, out_of = defaultdict(list), defaultdict(list)
+    for (k, dst, src), mat in diff.items():
+        src_level, _, src_at, src_piece = e1.points[src]
+        dst_level, _, dst_at, dst_piece = e1.points[dst]
+        if k == 1 and src_level == 0:
+            into[dst].append((src, mat))
+        if k == 1 and dst_level == 2:
+            out_of[src].append((dst, mat))
+        if dst_level == src_level or not (src_piece.shape[1] and dst_piece.shape[1]):
             continue
+        target = blocks[(src_level, k - src_level)] if dst_level == src_level + 1 else skips[k]
+        target[dst_at : dst_at + dst_piece.shape[1], src_at : src_at + src_piece.shape[1]] += (
+            dst_piece.conj().T @ mat @ src_piece
+        )
+    if not skips[1].size:
+        return blocks, skips
+    for block, coh in zip(model.blocks, cohomologies):
         res = coh.rank_result
-        if res.rank == 0:
+        ins, outs = into.get((block.id, "z")), out_of.get((block.id, "w"))
+        if block.tier != _TIER_SADDLE or res.rank == 0 or not (ins and outs):
             continue
         # h = D^+ = V S^-1 U^H = V S^-2 (D V)^H on the kept singular pairs
         v = res.row_basis
         h = (v / res.singular_values[: res.rank] ** 2) @ (coh.D @ v).conj().T
-        _, w = morse.fiber(m, block.id, "w")
-        _, z = morse.fiber(m, block.id, "z")
-        reduced[1][tgt, src] -= (amb[2][:, tgt].conj().T @ d[:, w]) @ h @ (d[z, :] @ amb[1][:, src])
-    return reduced
+        for dst, out_mat in outs:
+            _, _, dst_at, dst_piece = e1.points[dst]
+            left = dst_piece.conj().T @ out_mat @ h
+            for src, in_mat in ins:
+                _, _, src_at, src_piece = e1.points[src]
+                skips[1][dst_at : dst_at + dst_piece.shape[1], src_at : src_at + src_piece.shape[1]] -= (
+                    left @ (in_mat @ src_piece)
+                )
+    return blocks, skips
 
 
 @dataclass
 class PageTwo:
     """Second page: orthonormal bases of ker d1 / im d1 in E_1 coordinates,
-    and the log-torsion of the first page relative to them."""
+    the log-torsion of the first page relative to them, and the connected
+    component of each basis vector per slot."""
 
     bases: dict
     d1: D1Data
     log_torsion: float
+    labels: dict
 
 
 def page_two(d1: D1Data, tol_rel: float = DEFAULT_TOL) -> PageTwo:
     anchor = max(1.0, d1.e1.anchor)
-    bases, log_tau = _page_step(d1.e1.dims(), d1.blocks, 1, tol_rel, anchor)
-    return PageTwo(bases=bases, d1=d1, log_torsion=log_tau)
+    labels = d1.e1.labels
+    bases, log_tau = _page_step(d1.e1.dims(), d1.blocks, 1, tol_rel, anchor, labels)
+    next_labels = {key: column_labels(b, labels[key]) for key, b in bases.items()}
+    return PageTwo(bases=bases, d1=d1, log_torsion=log_tau, labels=next_labels)
 
 
 def assemble_d2(
@@ -849,12 +996,10 @@ def assemble_d2(
     operator (direct orbit sums plus the zig-zags through saddle blocks),
     conjugated onto the second-page subquotient bases.
     """
-    cols = page2.d1.e1.cols
-    out = {}
-    for q in range(3):
-        component = page2.d1.reduced[q][cols[(2, q + 1)], cols[(0, q)]]
-        out[q] = page2.bases[(2, q - 1)].conj().T @ component @ page2.bases[(0, q)]
-    return out
+    return {
+        q: page2.bases[(2, q - 1)].conj().T @ page2.d1.skips[q] @ page2.bases[(0, q)]
+        for q in range(3)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -880,6 +1025,19 @@ class TorsionReport:
     tolerance: float = DEFAULT_TOL
 
 
+@contextmanager
+def _stage(name: str, model: BottModel):
+    """Running out of memory in one stage of the solve raises TorsionError
+    naming the stage and the model size, not a bare MemoryError."""
+    try:
+        yield
+    except MemoryError as err:
+        raise TorsionError(
+            f"out of memory in {name}: {len(model.blocks)} blocks, {len(model.connections)} "
+            f"connections, fiber dimension {model.representation.dim}"
+        ) from err
+
+
 def total_torsion(model: BottModel, mode: str = "auto", tol_rel: float = DEFAULT_TOL) -> TorsionReport:
     """Torsion of the isoenergy surface from the block data.
 
@@ -899,7 +1057,8 @@ def total_torsion(model: BottModel, mode: str = "auto", tol_rel: float = DEFAULT
     if mode not in ("auto", "fast", "full"):
         raise InvalidInput(f"mode must be auto, fast or full, got {mode!r}")
     ensure_valid(model)
-    cohomologies = [block_cohomology(b, model.representation, tol_rel=tol_rel) for b in model.blocks]
+    with _stage("block cohomology", model):
+        cohomologies = [block_cohomology(b, model.representation, tol_rel=tol_rel) for b in model.blocks]
     fast_legal = all(
         b.kind == CIRCLE and coh.acyclic for b, coh in zip(model.blocks, cohomologies)
     )
@@ -919,11 +1078,12 @@ def total_torsion(model: BottModel, mode: str = "auto", tol_rel: float = DEFAULT
     fast_value = None
     if fast_legal:
         log_fast = 0.0
-        for b, coh in zip(model.blocks, cohomologies):
-            det = det_modulus(coh.D)
-            if det == 0.0:
-                raise FastPathUnavailable(f"block {b.id}: D is singular")
-            log_fast += (-1) ** b.index * math.log(det)
+        with _stage("fast path product", model):
+            for b, coh in zip(model.blocks, cohomologies):
+                det = det_modulus(coh.D)
+                if det == 0.0:
+                    raise FastPathUnavailable(f"block {b.id}: D is singular")
+                log_fast += (-1) ** b.index * math.log(det)
 
     if mode == "fast":
         fast_value = modulus_from_log(log_fast, "fast path product")
@@ -944,9 +1104,10 @@ def total_torsion(model: BottModel, mode: str = "auto", tol_rel: float = DEFAULT
             tolerance=tol_rel,
         )
 
-    morse = _morse_layout(model)
-    d1 = assemble_d1(model, morse, cohomologies, tol_rel=tol_rel)
-    page2 = page_two(d1, tol_rel=tol_rel)
+    with _stage("first page", model):
+        morse = _morse_layout(model)
+        d1 = assemble_d1(model, morse, cohomologies, tol_rel=tol_rel)
+        page2 = page_two(d1, tol_rel=tol_rel)
     anchor = max(1.0, d1.e1.anchor)
 
     e1_dims_full = d1.e1.dims()
@@ -962,8 +1123,9 @@ def total_torsion(model: BottModel, mode: str = "auto", tol_rel: float = DEFAULT
     tau_d1 = TorsionScalar(modulus_from_log(page2.log_torsion, "tau_d1"), _page_note(page2.bases))
 
     # third page: cohomology of (E_2, d_2); levels 0 and 2 move, level 1 is stable
-    d2 = {(0, q): mat for q, mat in assemble_d2(model, morse, page2, tol_rel=tol_rel).items()}
-    page3, log_d2 = _page_step(e2_dims_full, d2, 2, tol_rel, anchor)
+    with _stage("second page", model):
+        d2 = {(0, q): mat for q, mat in assemble_d2(model, morse, page2, tol_rel=tol_rel).items()}
+        page3, log_d2 = _page_step(e2_dims_full, d2, 2, tol_rel, anchor, page2.labels)
     tau_d2 = TorsionScalar(modulus_from_log(log_d2, "tau_d2"), _page_note(page3))
 
     einf_dims = {key: b.shape[1] for key, b in page3.items() if b.shape[1]}

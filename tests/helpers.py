@@ -270,3 +270,162 @@ def assert_same_span(got, want, tol=1e-10):
     orthogonal projector."""
     assert got.shape == want.shape
     assert np.abs(got @ got.conj().T - want @ want.conj().T).max(initial=0.0) <= tol
+
+
+def extremal_to_saddle_model(rng, kind):
+    """Min torus / Klein bottle feeding a degenerate saddle, m = 2: the beta
+    holonomy is chosen so the intra-block maps vanish through the
+    kind-specific sign (I - rho(beta) for the torus, I + rho(beta) for the
+    Klein bottle), so arbitrary unitary orbit sums keep d*d = 0 while the
+    first-page differential runs through the block's kernel and middle
+    cohomology. Returns the model and the p -> s.w orbit holonomy."""
+    from torsflow import GradientConnection, Orbit
+
+    m = 2
+    beta_word = () if kind == "torus" else ("f",)
+    u1, u3, u4 = (rand_unitary(rng, m) for _ in range(3))
+    rep = Representation(m, {"g1": u1, "g3": u3, "g4": u4, "f": -np.eye(m)})
+    blocks = (
+        CriticalBlock("T", kind, 0.0, extremal="min", alpha=(), beta=beta_word),
+        CriticalBlock("s", "circle", 1.0, index=1, delta=+1, holonomy=()),
+    )
+    conns = (
+        GradientConnection(("s", "w"), ("T", "p"), (Orbit(1, ("g1",)),)),
+        GradientConnection(("s", "z"), ("T", "q"), (Orbit(1, ("g3",)),)),
+        GradientConnection(("s", "z"), ("T", "r"), (Orbit(1, ("g4",)),)),
+    )
+    return BottModel(rep, blocks, conns), u1
+
+
+def quotient_target_model(rng, m=2):
+    """Min circle -> max torus d2 components while the saddle feeds the
+    torus through d1, so the second-page target is a real quotient."""
+    from torsflow import GradientConnection, Orbit
+
+    mats = {name: rand_unitary(rng, m) for name in ("g3", "g4", "g5", "g6", "g7", "g8")}
+    blocks = (
+        CriticalBlock("c", "circle", 0.0, index=0, delta=+1, holonomy=()),
+        CriticalBlock("s", "circle", 1.0, index=1, delta=+1, holonomy=()),
+        CriticalBlock("T", "torus", 2.0, extremal="max", alpha=(), beta=()),
+    )
+    conns = (
+        GradientConnection(("T", "q"), ("s", "w"), (Orbit(1, ("g3",)),)),
+        GradientConnection(("T", "r"), ("s", "w"), (Orbit(1, ("g4",)),)),
+        GradientConnection(("T", "s"), ("s", "z"), (Orbit(1, ("g5",)),)),
+        GradientConnection(("T", "p"), ("c", "w"), (Orbit(1, ("g6",)),)),
+        GradientConnection(("T", "q"), ("c", "z"), (Orbit(1, ("g7",)),)),
+        GradientConnection(("T", "r"), ("c", "z"), (Orbit(1, ("g8",)),)),
+    )
+    return BottModel(Representation(m, mats), blocks, conns)
+
+
+def d2_fires_model(rng):
+    """Rank-deficient orbit sums G = rho(w)(I + rho(g)) leave kernels on the
+    first page, two parallel saddles with opposite signs keep d*d = 0, and
+    the direct min.z -> max.w orbit gives a nonzero second-page
+    differential (m = 2)."""
+    from torsflow import GradientConnection, Orbit
+
+    m = 2
+    a, b, c, d, e = (rand_unitary(rng, m) for _ in range(5))
+    g = np.diag([-1.0, 1.0])
+    rep = Representation(m, {"a": a, "b": b, "c": c, "d": d, "e": e, "g": g})
+    blocks = (
+        CriticalBlock("min", "circle", 0.0, index=0, delta=+1, holonomy=()),
+        CriticalBlock("s1", "circle", 1.0, index=1, delta=+1, holonomy=()),
+        CriticalBlock("s2", "circle", 1.0, index=1, delta=+1, holonomy=()),
+        CriticalBlock("max", "circle", 2.0, index=2, delta=+1, holonomy=()),
+    )
+
+    def orbits(word, sign=1):
+        return (Orbit(sign, (word,)), Orbit(sign, (word, "g")))
+
+    conns = (
+        GradientConnection(("s1", "w"), ("min", "w"), orbits("a")),
+        GradientConnection(("s2", "w"), ("min", "w"), orbits("a")),
+        GradientConnection(("max", "w"), ("s1", "w"), orbits("b")),
+        GradientConnection(("max", "w"), ("s2", "w"), orbits("b", -1)),
+        GradientConnection(("s1", "z"), ("min", "z"), orbits("c")),
+        GradientConnection(("s2", "z"), ("min", "z"), orbits("c")),
+        GradientConnection(("max", "z"), ("s1", "z"), orbits("d")),
+        GradientConnection(("max", "z"), ("s2", "z"), orbits("d", -1)),
+        GradientConnection(("max", "w"), ("min", "z"), (Orbit(+1, ("e",)),)),
+    )
+    return BottModel(rep, blocks, conns)
+
+
+def zigzag_model(rng, m):
+    """c.z -u-> s.z, s.w -v-> n.w and c.z -e-> n.w with an invertible saddle
+    block D_s = 2I: eliminating the saddle leaves d2 = e - v D_s^-1 u on
+    E_2^(0,1) -> E_2^(2,0), not the bare e (three circles)."""
+    from torsflow import GradientConnection, Orbit
+
+    gens = {name: np.eye(1) if m == 1 else rand_unitary(rng, m) for name in ("u", "v", "e")}
+    blocks = (
+        CriticalBlock("c", "circle", 0.0, index=0, delta=+1, holonomy=()),
+        CriticalBlock("s", "circle", 1.0, index=1, delta=-1, holonomy=()),
+        CriticalBlock("n", "circle", 2.0, index=2, delta=+1, holonomy=()),
+    )
+    conns = (
+        GradientConnection(("s", "z"), ("c", "z"), (Orbit(1, ("u",)),)),
+        GradientConnection(("n", "w"), ("s", "w"), (Orbit(1, ("v",)),)),
+        GradientConnection(("n", "w"), ("c", "z"), (Orbit(1, ("e",)),)),
+    )
+    return BottModel(Representation(m, gens), blocks, conns)
+
+
+def acyclic_zigzag_model(rng):
+    """The zig-zag of zigzag_model with the outer classes killed by d1
+    through a second, degenerate saddle (four circles, m = 2): the total is
+    canonical."""
+    from torsflow import GradientConnection, Orbit
+
+    m = 2
+    gens = {name: rand_unitary(rng, m) for name in ("a", "b", "e", "u", "v")}
+    blocks = (
+        CriticalBlock("c", "circle", 0.0, index=0, delta=+1, holonomy=()),
+        CriticalBlock("s1", "circle", 1.0, index=1, delta=+1, holonomy=()),
+        CriticalBlock("s2", "circle", 1.0, index=1, delta=-1, holonomy=()),
+        CriticalBlock("n", "circle", 2.0, index=2, delta=+1, holonomy=()),
+    )
+    conns = (
+        GradientConnection(("s1", "w"), ("c", "w"), (Orbit(1, ("a",)),)),
+        GradientConnection(("s2", "z"), ("c", "z"), (Orbit(1, ("u",)),)),
+        GradientConnection(("n", "w"), ("s2", "w"), (Orbit(1, ("v",)),)),
+        GradientConnection(("n", "w"), ("c", "z"), (Orbit(1, ("e",)),)),
+        GradientConnection(("n", "z"), ("s1", "z"), (Orbit(1, ("b",)),)),
+    )
+    return BottModel(Representation(m, gens), blocks, conns)
+
+
+def dense_reduced_operator(model, d1):
+    """Reference for the block-built reduced operator: on the dense
+    assembled Morse complex, E_{k+1}^H (D_k - D_k[:, S] h D_k[S, :]) E_k for
+    k = 0, 1, 2, with E the ambient E_1 bases of d1 and h the pseudo-inverse
+    of each saddle's D on the zig-zags level 0 -> s.z, s.w -> level 2."""
+    from torsflow import assemble_complex
+    from torsflow.bott import expand_morse
+
+    morse = expand_morse(model)
+    base = assemble_complex(model, morse, d1.cohomologies).base
+    amb = d1.e1.ambient
+    reduced = [amb[k + 1].conj().T @ base.diff(k) @ amb[k] for k in range(3)]
+    src, tgt = d1.e1.cols[(0, 1)], d1.e1.cols[(2, 2)]
+    if src.start == src.stop or tgt.start == tgt.stop:
+        return reduced
+    fed = {conn.from_point[0] for conn in model.connections if conn.from_point[1] == "z"}
+    through = fed & {conn.to_point[0] for conn in model.connections if conn.to_point[1] == "w"}
+    d = base.diff(1)
+    m = model.representation.dim
+    for block, coh in zip(model.blocks, d1.cohomologies):
+        if block.kind != "circle" or block.index != 1 or block.id not in through:
+            continue
+        res = coh.rank_result
+        if res.rank == 0:
+            continue
+        v = res.row_basis
+        h = (v / res.singular_values[: res.rank] ** 2) @ (coh.D @ v).conj().T
+        _, w = morse.fiber(m, block.id, "w")
+        _, z = morse.fiber(m, block.id, "z")
+        reduced[1][tgt, src] -= (amb[2][:, tgt].conj().T @ d[:, w]) @ h @ (d[z, :] @ amb[1][:, src])
+    return reduced

@@ -24,12 +24,18 @@ from torsflow import (
     validate_model,
 )
 from helpers import (
+    acyclic_zigzag_model,
     assert_same_span,
+    d2_fires_model,
+    dense_reduced_operator,
+    extremal_to_saddle_model,
     kovalevskaya_model,
     kovalevskaya_replica,
+    quotient_target_model,
     rand_unitary,
     random_circle_model,
     stacked_kernel,
+    zigzag_model,
 )
 
 
@@ -482,29 +488,11 @@ class TestTotalTorsion:
 
     @pytest.mark.parametrize("kind", ["torus", "klein"])
     def test_extremal_to_saddle_pipeline_matches_generic(self, kind):
-        # min torus / Klein bottle feeding a degenerate saddle: the beta
-        # holonomy is chosen so the intra-block maps vanish through the
-        # kind-specific sign (I - rho(beta) for the torus, I + rho(beta)
-        # for the Klein bottle), so arbitrary unitary orbit sums keep
-        # d*d = 0 while the first-page differential runs through the
-        # block's kernel and middle cohomology
+        # see extremal_to_saddle_model: the first-page differential runs
+        # through the block's kernel and middle cohomology
         rng = np.random.default_rng(18)
-        beta_word = () if kind == "torus" else ("f",)
         for trial in range(5):
-            m = 2
-            u1, u3, u4 = (rand_unitary(rng, m) for _ in range(3))
-            gens = {"g1": u1, "g3": u3, "g4": u4, "f": -np.eye(m)}
-            rep = Representation(m, gens)
-            blocks = (
-                CriticalBlock("T", kind, 0.0, extremal="min", alpha=(), beta=beta_word),
-                CriticalBlock("s", "circle", 1.0, index=1, delta=+1, holonomy=()),
-            )
-            conns = (
-                GradientConnection(("s", "w"), ("T", "p"), (Orbit(1, ("g1",)),)),
-                GradientConnection(("s", "z"), ("T", "q"), (Orbit(1, ("g3",)),)),
-                GradientConnection(("s", "z"), ("T", "r"), (Orbit(1, ("g4",)),)),
-            )
-            model = BottModel(rep, blocks, conns)
+            model, u1 = extremal_to_saddle_model(rng, kind)
             report = total_torsion(model)
             res = filtered_pages(assemble_complex(model))
             assert report.einf_dims == {k: v for k, v in res.infinity_dims.items() if v}
@@ -521,22 +509,7 @@ class TestTotalTorsion:
         rng = np.random.default_rng(19)
         for trial in range(5):
             m = 2
-            mats = {name: rand_unitary(rng, m) for name in ("g3", "g4", "g5", "g6", "g7", "g8")}
-            rep = Representation(m, mats)
-            blocks = (
-                CriticalBlock("c", "circle", 0.0, index=0, delta=+1, holonomy=()),
-                CriticalBlock("s", "circle", 1.0, index=1, delta=+1, holonomy=()),
-                CriticalBlock("T", "torus", 2.0, extremal="max", alpha=(), beta=()),
-            )
-            conns = (
-                GradientConnection(("T", "q"), ("s", "w"), (Orbit(1, ("g3",)),)),
-                GradientConnection(("T", "r"), ("s", "w"), (Orbit(1, ("g4",)),)),
-                GradientConnection(("T", "s"), ("s", "z"), (Orbit(1, ("g5",)),)),
-                GradientConnection(("T", "p"), ("c", "w"), (Orbit(1, ("g6",)),)),
-                GradientConnection(("T", "q"), ("c", "z"), (Orbit(1, ("g7",)),)),
-                GradientConnection(("T", "r"), ("c", "z"), (Orbit(1, ("g8",)),)),
-            )
-            model = BottModel(rep, blocks, conns)
+            model = quotient_target_model(rng, m)
             report = total_torsion(model)
             res = filtered_pages(assemble_complex(model))
             assert report.einf_dims == {k: v for k, v in res.infinity_dims.items() if v}
@@ -550,37 +523,8 @@ class TestTotalTorsion:
             assert report.total.modulus == pytest.approx(res.product_check.direct, rel=1e-8)
 
     def test_d2_fires_on_surviving_second_page(self):
-        # rank-deficient orbit sums G = rho(w)(I + rho(g)) leave kernels on
-        # the first page, two parallel saddles with opposite signs keep
-        # d*d = 0, and the direct min.z -> max.w orbit gives a genuinely
-        # nonzero second-page differential; block route vs generic oracle
-        rng = np.random.default_rng(78)
-        m = 2
-        a, b, c, d, e = (rand_unitary(rng, m) for _ in range(5))
-        g = np.diag([-1.0, 1.0])
-        rep = Representation(m, {"a": a, "b": b, "c": c, "d": d, "e": e, "g": g})
-        blocks = (
-            CriticalBlock("min", "circle", 0.0, index=0, delta=+1, holonomy=()),
-            CriticalBlock("s1", "circle", 1.0, index=1, delta=+1, holonomy=()),
-            CriticalBlock("s2", "circle", 1.0, index=1, delta=+1, holonomy=()),
-            CriticalBlock("max", "circle", 2.0, index=2, delta=+1, holonomy=()),
-        )
-
-        def orbits(word, sign=1):
-            return (Orbit(sign, (word,)), Orbit(sign, (word, "g")))
-
-        conns = (
-            GradientConnection(("s1", "w"), ("min", "w"), orbits("a")),
-            GradientConnection(("s2", "w"), ("min", "w"), orbits("a")),
-            GradientConnection(("max", "w"), ("s1", "w"), orbits("b")),
-            GradientConnection(("max", "w"), ("s2", "w"), orbits("b", -1)),
-            GradientConnection(("s1", "z"), ("min", "z"), orbits("c")),
-            GradientConnection(("s2", "z"), ("min", "z"), orbits("c")),
-            GradientConnection(("max", "z"), ("s1", "z"), orbits("d")),
-            GradientConnection(("max", "z"), ("s2", "z"), orbits("d", -1)),
-            GradientConnection(("max", "w"), ("min", "z"), (Orbit(+1, ("e",)),)),
-        )
-        model = BottModel(rep, blocks, conns)
+        # see d2_fires_model; block route vs generic oracle
+        model = d2_fires_model(np.random.default_rng(78))
         report = total_torsion(model)
         assert report.e2_dims == {
             (0, 0): 1, (0, 1): 1, (1, 0): 2, (1, 1): 2, (2, 0): 1, (2, 1): 1,
@@ -597,22 +541,8 @@ class TestTotalTorsion:
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_d2_includes_zigzag_through_acyclic_saddle(self, m):
-        # c.z -u-> s.z, s.w -v-> n.w and c.z -e-> n.w with an invertible
-        # saddle block D_s = 2I: eliminating the saddle leaves
-        # d2 = e - v D_s^-1 u on E_2^(0,1) -> E_2^(2,0), not the bare e
-        rng = np.random.default_rng(80)
-        gens = {name: np.eye(1) if m == 1 else rand_unitary(rng, m) for name in ("u", "v", "e")}
-        blocks = (
-            CriticalBlock("c", "circle", 0.0, index=0, delta=+1, holonomy=()),
-            CriticalBlock("s", "circle", 1.0, index=1, delta=-1, holonomy=()),
-            CriticalBlock("n", "circle", 2.0, index=2, delta=+1, holonomy=()),
-        )
-        conns = (
-            GradientConnection(("s", "z"), ("c", "z"), (Orbit(1, ("u",)),)),
-            GradientConnection(("n", "w"), ("s", "w"), (Orbit(1, ("v",)),)),
-            GradientConnection(("n", "w"), ("c", "z"), (Orbit(1, ("e",)),)),
-        )
-        model = BottModel(Representation(m, gens), blocks, conns)
+        # see zigzag_model: d2 = e - v D_s^-1 u, not the bare e
+        model = zigzag_model(np.random.default_rng(80), m)
         report = total_torsion(model)
         res = filtered_pages(assemble_complex(model))
         assert report.einf_dims == {k: v for k, v in res.infinity_dims.items() if v}
@@ -621,23 +551,7 @@ class TestTotalTorsion:
     def test_acyclic_model_with_zigzag_matches_generic(self):
         # the same zig-zag with the outer classes killed by d1 through a
         # second, degenerate saddle: the total is canonical
-        rng = np.random.default_rng(81)
-        m = 2
-        gens = {name: rand_unitary(rng, m) for name in ("a", "b", "e", "u", "v")}
-        blocks = (
-            CriticalBlock("c", "circle", 0.0, index=0, delta=+1, holonomy=()),
-            CriticalBlock("s1", "circle", 1.0, index=1, delta=+1, holonomy=()),
-            CriticalBlock("s2", "circle", 1.0, index=1, delta=-1, holonomy=()),
-            CriticalBlock("n", "circle", 2.0, index=2, delta=+1, holonomy=()),
-        )
-        conns = (
-            GradientConnection(("s1", "w"), ("c", "w"), (Orbit(1, ("a",)),)),
-            GradientConnection(("s2", "z"), ("c", "z"), (Orbit(1, ("u",)),)),
-            GradientConnection(("n", "w"), ("s2", "w"), (Orbit(1, ("v",)),)),
-            GradientConnection(("n", "w"), ("c", "z"), (Orbit(1, ("e",)),)),
-            GradientConnection(("n", "z"), ("s1", "z"), (Orbit(1, ("b",)),)),
-        )
-        model = BottModel(Representation(m, gens), blocks, conns)
+        model = acyclic_zigzag_model(np.random.default_rng(81))
         report = total_torsion(model)
         assert report.acyclic
         res = filtered_pages(assemble_complex(model))
@@ -823,3 +737,86 @@ class TestLogModulus:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(TorsionError, match="floating-point range"):
                 total_torsion(_doubling_model(17, 0), mode=mode)
+
+
+def _reference_models():
+    """Models whose block-built reduced operator is checked against the
+    dense reference: Kovalevskaya with both representations, replicas,
+    the 3- and 4-circle zig-zags and the non-acyclic patterns."""
+    rng = np.random.default_rng(90)
+    yield "kovalevskaya", kovalevskaya_model()
+    yield "kovalevskaya-trivial", kovalevskaya_model(Representation(1, {"g": [[1.0]]}))
+    yield "replica-3-2", kovalevskaya_replica(3, 2)
+    yield "replica-2-4", kovalevskaya_replica(2, 4)
+    for m in (1, 2):
+        yield f"zigzag-{m}", zigzag_model(rng, m)
+    yield "zigzag-acyclic", acyclic_zigzag_model(rng)
+    yield "d2-fires", d2_fires_model(rng)
+    for kind in ("torus", "klein"):
+        yield f"extremal-{kind}", extremal_to_saddle_model(rng, kind)[0]
+    yield "quotient-target", quotient_target_model(rng)
+
+
+_REFERENCE = list(_reference_models())
+
+
+class TestBlockSparse:
+    """total_torsion holds the Morse differential as m x m blocks and splits
+    every page decision over the model's connected components."""
+
+    @pytest.mark.parametrize("model", [m for _, m in _REFERENCE], ids=[name for name, _ in _REFERENCE])
+    def test_reduced_operator_matches_the_dense_reference(self, model):
+        d1 = assemble_d1(model)
+        reference = dense_reduced_operator(model, d1)
+        cols = d1.e1.cols
+        for level in range(2):
+            for k in range(3):
+                want = reference[k][cols[(level + 1, k + 1)], cols[(level, k)]]
+                assert d1.blocks[(level, k - level)].shape == want.shape
+                assert np.abs(d1.blocks[(level, k - level)] - want).max(initial=0.0) <= 1e-12
+        for q in range(3):
+            want = reference[q][cols[(2, q + 1)], cols[(0, q)]]
+            assert d1.skips[q].shape == want.shape
+            assert np.abs(d1.skips[q] - want).max(initial=0.0) <= 1e-12
+        # the anchor is the dense Morse complex's, from the component blocks
+        assert d1.e1.anchor == pytest.approx(assemble_complex(model).base.rank_scale, rel=1e-12)
+
+    def test_no_decomposition_larger_than_two_fibers(self, monkeypatch):
+        # every SVD and Gram eigendecomposition in the solve sees one
+        # component's blocks: at most 2m x 2m, never the ambient complex
+        m = 3
+        shapes = []
+        for name in ("svd", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def recorded(a, *args, _original=original, **kwargs):
+                shapes.append(np.shape(a)[-2:])
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recorded)
+        report = total_torsion(kovalevskaya_replica(8, m), mode="full")
+        assert report.total.modulus == pytest.approx(4.0 ** (8 * m), rel=1e-12)
+        assert shapes and max(max(shape) for shape in shapes) <= 2 * m
+
+    def test_thousands_of_blocks(self):
+        # 2,304 blocks: 4^384 is inside the float range
+        report = total_torsion(kovalevskaya_replica(384, 1), mode="full")
+        assert np.log(report.total.modulus) == pytest.approx(384 * np.log(4.0), rel=1e-8)
+        assert report.acyclic
+
+    @pytest.mark.parametrize(
+        "stacked, stage", [(False, "block cohomology"), (True, "first page")], ids=["any", "stacked"]
+    )
+    def test_memory_error_names_the_stage(self, monkeypatch, stacked, stage):
+        from torsflow import TorsionError
+
+        original = np.linalg.svd
+
+        def exhausted(a, *args, **kwargs):
+            if stacked and np.ndim(a) < 3:
+                return original(a, *args, **kwargs)
+            raise MemoryError
+
+        monkeypatch.setattr(np.linalg, "svd", exhausted)
+        with pytest.raises(TorsionError, match=f"out of memory in {stage}: 24 blocks, 16 connections, fiber dimension 2"):
+            total_torsion(kovalevskaya_replica(4, 2), mode="full")

@@ -177,3 +177,15 @@ def test_compute_validates_once(capsys, monkeypatch):
     code, out, err = run(capsys, ["compute", "--input", KOVALEVSKAYA])
     assert code == 0
     assert len(calls) == 1
+
+
+def test_compute_out_of_memory_exits_2(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(np.linalg, "svd", exhausted)
+    code, out, err = run(capsys, ["compute", "--input", KOVALEVSKAYA])
+    assert code == 2
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: out of memory in block cohomology")
