@@ -43,15 +43,9 @@ prod |det D_i|^((-1)^u_i), available as the fast path.
 
 total_torsion never forms the dense Morse complex (assemble_complex does,
 for filtered_pages). The differential is held as m x m blocks, one per
-point pair; d*d = 0 is checked on the block products, and the reduced
-operator is summed block by block. The blocks joined by connections form
-connected components, and the Morse differential, the reduced operator
-and every page differential are direct sums over them (a zig-zag stays
-inside the component of its saddle). So the anchor's operator norm and
-every page decision are split over the components, each cut against the
-threshold of the whole operator (linalg.rank_direct_sum): the ranks are
-those of the whole, and torsion is multiplicative over direct sums
-(Milnor 1966).
+point pair: d*d = 0 is checked on the block products, the reduced operator
+is summed block by block into the E_1 slots, and the operator norm that
+anchors the page decisions comes from Gram matrices summed block by block.
 """
 from __future__ import annotations
 
@@ -83,7 +77,7 @@ from .errors import (
     NotAComplex,
     TorsionError,
 )
-from .linalg import DEFAULT_TOL, RankResult, column_labels, det_modulus, operator_norm, rank_nullspace
+from .linalg import DEFAULT_TOL, RankResult, block_operator_norm, det_modulus, rank_nullspace
 from .representation import Representation, parse_word
 from .spectral import FilteredComplex, _page_note, _page_step
 
@@ -658,44 +652,14 @@ def _check_square_zero(diff: dict, cohomologies) -> None:
             )
 
 
-def _components(model: BottModel) -> dict:
-    """Connected component of each block, numbered in model order: blocks
-    joined by connections, found by union-find. The Morse differential,
-    and with it every page differential, is a direct sum over them."""
-    parent = {b.id: b.id for b in model.blocks}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for conn in model.connections:
-        parent[find(conn.from_point[0])] = find(conn.to_point[0])
-    roots: dict = {}
-    return {b.id: roots.setdefault(find(b.id), len(roots)) for b in model.blocks}
-
-
-def _morse_anchor(diff: dict, components: dict, m: int) -> float:
+def _morse_anchor(diff: dict) -> float:
     """max(1, operator norm of the Morse differential), the anchor of the
-    page decisions. Each (degree, component) block of d is laid out on its
-    own points, and blocks of equal shape share one stacked operator_norm."""
-    layout: dict = {}
-    for k, dst, src in diff:
-        rows, cols = layout.setdefault((k, components[src[0]]), ({}, {}))
-        rows.setdefault(dst, len(rows))
-        cols.setdefault(src, len(cols))
-    shapes = defaultdict(list)
-    for key, (rows, cols) in layout.items():
-        shapes[(len(rows) * m, len(cols) * m)].append(key)
-    stacks = {shape: np.zeros((len(keys), *shape), dtype=complex) for shape, keys in shapes.items()}
-    where = {key: (shape, i) for shape, keys in shapes.items() for i, key in enumerate(keys)}
+    rank decisions on the Morse complex and on its pages: the largest
+    norm of one degree's blocks (linalg.block_operator_norm)."""
+    by_degree: list = [{} for _ in range(3)]
     for (k, dst, src), mat in diff.items():
-        key = (k, components[src[0]])
-        shape, i = where[key]
-        rows, cols = layout[key]
-        stacks[shape][i, rows[dst] * m : (rows[dst] + 1) * m, cols[src] * m : (cols[src] + 1) * m] = mat
-    return max([1.0] + [operator_norm(stack) for stack in stacks.values()])
+        by_degree[k][(dst, src)] = mat
+    return max([1.0] + [block_operator_norm(blocks) for blocks in by_degree])
 
 
 def assemble_complex(
@@ -719,14 +683,14 @@ def assemble_complex(
         cohomologies = [block_cohomology(b, rep, tol_rel=tol_rel) for b in model.blocks]
     dims = [m * len(morse.points[k]) for k in range(4)]
     diffs = [np.zeros((dims[k + 1], dims[k]), dtype=complex) for k in range(3)]
-    for (k, dst, src), mat in _morse_differential(model, cohomologies).items():
+    diff = _morse_differential(model, cohomologies)
+    for (k, dst, src), mat in diff.items():
         _, rows = morse.fiber(m, *dst)
         _, cols = morse.fiber(m, *src)
         diffs[k][rows, cols] = mat
 
-    anchor = max([1.0] + [operator_norm(d) for d in diffs])
     try:
-        base = BasedComplex(dims, diffs, rank_scale=anchor)
+        base = BasedComplex(dims, diffs, rank_scale=_morse_anchor(diff))
     except NotAComplex as err:
         raise _not_a_complex(str(err), cohomologies) from err
     blocks = model.block_map()
@@ -751,63 +715,36 @@ class E1Data:
     level by block in model order; cols[(level, k)] is the column range of
     one level. points[(block id, label)] = (level, k, offset, piece): piece
     is the point's m fiber rows of its block's degree-k cohomology basis,
-    which fill the slot (level, k) from column offset on. labels[(level,
-    q)] is the connected component (_components) of each slot column's
-    block, and anchor the operator norm of the Morse differential.
+    which fill the slot (level, k) from column offset on. anchor is the
+    operator norm of the Morse differential.
     """
 
     cols: dict
     points: dict
-    labels: dict
-    morse: MorseData
-    fiber_dim: int
     anchor: float = 0.0
-
-    @property
-    def ambient(self) -> list:
-        """ambient[k]: the orthonormal E_1 basis in Morse degree k in ambient
-        coordinates (dim of Morse degree x page dimension), built on request
-        from the fiber pieces; the solve path never forms it."""
-        m = self.fiber_dim
-        out = [
-            np.zeros((m * len(self.morse.points[k]), self.cols[(2, k)].stop), dtype=complex)
-            for k in range(4)
-        ]
-        for (block_id, label), (level, k, offset, piece) in self.points.items():
-            _, rows = self.morse.fiber(m, block_id, label)
-            start = self.cols[(level, k)].start + offset
-            out[k][rows, start : start + piece.shape[1]] = piece
-        return out
-
-    @property
-    def basis(self) -> dict:
-        """basis[(level, k)]: the ambient basis of E_1 at that slot."""
-        ambient = self.ambient
-        return {(level, k): ambient[k][:, s] for (level, k), s in self.cols.items()}
 
     def dims(self) -> dict:
         """Page dimension of every slot (level, q), levels outermost."""
         return {(level, k - level): s.stop - s.start for (level, k), s in self.cols.items()}
 
 
-def _build_e1(model, morse, cohomologies, components) -> E1Data:
+def _build_e1(model, cohomologies) -> E1Data:
     m = model.representation.dim
-    levels = [block.level for block in model.blocks]
     width = Counter()
-    for level, coh in zip(levels, cohomologies):
+    for block, coh in zip(model.blocks, cohomologies):
         for k, b in coh.bases.items():
-            width[(level, k)] += b.shape[1]
+            width[(block.level, k)] += b.shape[1]
     cols = {}
     for level in range(3):
         for k in range(4):
             start = sum(width[(lower, k)] for lower in range(level))
             cols[(level, k)] = slice(start, start + width[(level, k)])
     offset = Counter()
-    owners = defaultdict(list)
     points = {}
-    for block, level, coh in zip(model.blocks, levels, cohomologies):
+    for block, coh in zip(model.blocks, cohomologies):
         # a degree's basis stacks the fibers of the block's points of that
         # index in label order (q above r for extremal blocks)
+        level = block.level
         used = Counter()
         for label in block.labels():
             k = block.point_index(label)
@@ -815,12 +752,7 @@ def _build_e1(model, morse, cohomologies, components) -> E1Data:
             used[k] += m
         for k, b in coh.bases.items():
             offset[(level, k)] += b.shape[1]
-            owners[(level, k)].append((components[block.id], b.shape[1]))
-    labels = {}
-    for level, k in cols:
-        comps, widths = zip(*owners[(level, k)]) if owners[(level, k)] else ((), ())
-        labels[(level, k - level)] = np.repeat(np.array(comps, dtype=int), np.array(widths, dtype=int))
-    return E1Data(cols=cols, points=points, labels=labels, morse=morse, fiber_dim=m)
+    return E1Data(cols=cols, points=points)
 
 
 @dataclass
@@ -894,8 +826,8 @@ def assemble_d1(
     pseudo-inverse of each saddle's own D (what eliminating the saddle's
     acyclic part leaves behind). The level n -> n + 1 slices are d1;
     assemble_d2 reads the level 0 -> 2 slice. No dense ambient matrix is
-    formed. The anchor is the Morse operator norm, taken per connected
-    component. Licensed pairs with no connection default to zero; the
+    formed; the anchor, the Morse operator norm, comes from block-summed
+    Gram matrices. Licensed pairs with no connection default to zero; the
     warnings then hold one summary line per kind (d1, d2) with the number
     of such pairs and the first few of them.
     """
@@ -905,9 +837,8 @@ def assemble_d1(
         cohomologies = [block_cohomology(b, model.representation, tol_rel=tol_rel) for b in model.blocks]
     diff = _morse_differential(model, cohomologies)
     _check_square_zero(diff, cohomologies)
-    components = _components(model)
-    e1 = _build_e1(model, morse, cohomologies, components)
-    e1.anchor = _morse_anchor(diff, components, model.representation.dim)
+    e1 = _build_e1(model, cohomologies)
+    e1.anchor = _morse_anchor(diff)
 
     warnings = [w for coh in cohomologies for w in coh.warnings]
     warnings += _missing_connection_warnings(model)
@@ -970,21 +901,17 @@ def _reduced_operator(model, cohomologies, diff, e1) -> tuple:
 @dataclass
 class PageTwo:
     """Second page: orthonormal bases of ker d1 / im d1 in E_1 coordinates,
-    the log-torsion of the first page relative to them, and the connected
-    component of each basis vector per slot."""
+    and the log-torsion of the first page relative to them."""
 
     bases: dict
     d1: D1Data
     log_torsion: float
-    labels: dict
 
 
 def page_two(d1: D1Data, tol_rel: float = DEFAULT_TOL) -> PageTwo:
     anchor = max(1.0, d1.e1.anchor)
-    labels = d1.e1.labels
-    bases, log_tau = _page_step(d1.e1.dims(), d1.blocks, 1, tol_rel, anchor, labels)
-    next_labels = {key: column_labels(b, labels[key]) for key, b in bases.items()}
-    return PageTwo(bases=bases, d1=d1, log_torsion=log_tau, labels=next_labels)
+    bases, log_tau = _page_step(d1.e1.dims(), d1.blocks, 1, tol_rel, anchor)
+    return PageTwo(bases=bases, d1=d1, log_torsion=log_tau)
 
 
 def assemble_d2(
@@ -1125,7 +1052,7 @@ def total_torsion(model: BottModel, mode: str = "auto", tol_rel: float = DEFAULT
     # third page: cohomology of (E_2, d_2); levels 0 and 2 move, level 1 is stable
     with _stage("second page", model):
         d2 = {(0, q): mat for q, mat in assemble_d2(model, morse, page2, tol_rel=tol_rel).items()}
-        page3, log_d2 = _page_step(e2_dims_full, d2, 2, tol_rel, anchor, page2.labels)
+        page3, log_d2 = _page_step(e2_dims_full, d2, 2, tol_rel, anchor)
     tau_d2 = TorsionScalar(modulus_from_log(log_d2, "tau_d2"), _page_note(page3))
 
     einf_dims = {key: b.shape[1] for key, b in page3.items() if b.shape[1]}

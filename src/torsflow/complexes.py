@@ -34,17 +34,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import BasisMismatch, InvalidInput, NotAComplex, NotExact, TorsionError
-from .linalg import (
-    DEFAULT_TOL,
-    as_cmatrix,
-    column_labels,
-    direct_sum_product,
-    modulus_from_log,
-    operator_norm,
-    range_basis,
-    rank_direct_sum,
-    rank_nullspace,
-)
+from .linalg import DEFAULT_TOL, as_cmatrix, modulus_from_log, operator_norm, range_basis, rank_nullspace
 
 #: basis_note flag values for TorsionScalar
 ACYCLIC_NOTE = "acyclic-canonical"
@@ -194,25 +184,16 @@ def _check_supplied_cohomology(c, i, h, rank_out, rank_in, boundaries, tol_rel):
     return h
 
 
-def _within(span: np.ndarray, constraint: np.ndarray, tol_rel: float, labels=None) -> np.ndarray:
+def _within(span: np.ndarray, constraint: np.ndarray, tol_rel: float) -> np.ndarray:
     """Orthonormal basis of (column span of `span`) intersected with the
     orthogonal complement of the columns of `constraint`. `span` has
     orthonormal columns; `constraint` is orthonormal or a concatenation of
     orthonormal pieces, whose spans may overlap. Every column then has unit
-    norm, so 1.0 is the honest scale for the rank decision.
-
-    `labels` gives the component of each row when both bases are direct
-    sums (each column supported on one component's rows): the cut is then
-    decided per component, against the threshold of the whole."""
+    norm, so 1.0 is the honest scale for the rank decision."""
     if span.shape[1] == 0 or constraint.shape[1] == 0:
         return span
-    if labels is None:
-        coeff = rank_nullspace(constraint.conj().T @ span, tol_rel, scale=1.0).kernel_basis
-        return span @ coeff
-    inner, outer = column_labels(span, labels), column_labels(constraint, labels)
-    overlap = direct_sum_product(constraint.conj().T, span, outer, labels, inner)
-    coeff = rank_direct_sum(overlap, outer, inner, tol_rel, scale=1.0).kernel_basis
-    return direct_sum_product(span, coeff, labels, inner, column_labels(coeff, inner))
+    coeff = rank_nullspace(constraint.conj().T @ span, tol_rel, scale=1.0).kernel_basis
+    return span @ coeff
 
 
 def complex_torsion(

@@ -22,15 +22,15 @@ Conventions
   same matrix again; the product of the kept singular values is the
   torsion of the two-term complex on the SVD's own kernel and cokernel
   bases.
-* A matrix that is a direct sum of components (block diagonal up to a
-  permutation of rows and columns) is decided by rank_direct_sum, one
-  stacked SVD per component shape, against the whole matrix's threshold.
+* block_operator_norm reads a matrix from its nonzero blocks, so a norm
+  of a large block-sparse operator needs no dense copy of it.
 """
 from __future__ import annotations
 
 import math
 import sys
 import warnings
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,129 +101,23 @@ class RankResult:
 
 
 def _svd(a: np.ndarray, full: bool = True):
-    """SVD of a matrix, or of every matrix in a stack (n, rows, cols) in
-    one call."""
-    rows, cols = a.shape[-2:]
-    if rows and cols:
-        return np.linalg.svd(a, full_matrices=full)
-    ones = np.ones(a.shape[:-2] + (1, 1))
-    return np.eye(rows, dtype=complex) * ones, np.zeros(a.shape[:-2] + (0,)), np.eye(cols, dtype=complex) * ones
-
-
-def _threshold(top: float, shape, tol_rel: float, scale: float) -> float:
-    """tol_rel * max(rows, cols) * sigma_max of the whole matrix, sigma_max
-    (`top`) anchored from below by scale; tol_rel itself for the zero
-    matrix."""
-    smax = max(top, float(scale))
-    return tol_rel * max(shape) * smax if smax > 0.0 else tol_rel
-
-
-def _groups(*labels):
-    """The components of a direct sum, grouped by shape.
-
-    labels[i][j] is the component of coordinate j of the i-th space (rows,
-    then columns, ...). Per shape, the result holds one (n, size) index
-    array per space: row p of it lists, in order, the coordinates of the
-    p-th component of that shape. One component covering every coordinate
-    gives [(None, ...)], the whole matrix.
-    """
-    labels = [np.asarray(lab, dtype=np.intp) for lab in labels]
-    size = 1 + max((int(lab.max()) for lab in labels if lab.size), default=0)
-    counts = [np.bincount(lab, minlength=size) for lab in labels]
-    present = np.flatnonzero(sum(counts))
-    if present.size <= 1:
-        return [(None,) * len(labels)]
-    # one integer per shape: the counts as digits in base (largest count + 1)
-    base = 1 + max(int(count.max()) for count in counts)
-    key = np.zeros(size, dtype=np.int64)
-    for count in counts:
-        key = key * base + count
-    shapes, inverse = np.unique(key[present], return_inverse=True)
-    orders = [np.argsort(lab, kind="stable") for lab in labels]
-    starts = [np.cumsum(count) - count for count in counts]
-    out = []
-    for g in range(shapes.size):
-        members = present[inverse == g]
-        out.append(tuple(
-            order[start[members][:, None] + np.arange(count[members[0]])]
-            for order, start, count in zip(orders, starts, counts)
-        ))
-    return out
-
-
-def _basis(size: int, pieces) -> np.ndarray:
-    """Orthonormal basis of the whole space from per-component factors.
-
-    Each piece is (index, vectors, lo, hi) for one shape group: the columns
-    lo[p] <= j < hi[p] of vectors[p], placed at the rows index[p]."""
-    out = np.zeros((size, sum(int((hi - lo).sum()) for _, _, lo, hi in pieces)), dtype=complex)
-    start = 0
-    for index, vectors, lo, hi in pieces:
-        j = np.arange(vectors.shape[2])
-        comp, col = np.nonzero((j >= lo[:, None]) & (j < hi[:, None]))
-        out[index[comp].T, start + np.arange(comp.size)] = vectors[comp, :, col].T
-        start += comp.size
-    return out
-
-
-def _decide(a: np.ndarray, groups, tol_rel: float, scale: float) -> RankResult:
-    """One rank decision on a direct sum: one SVD call per shape group,
-    every component cut against the threshold of the whole matrix."""
-    if not 0.0 < tol_rel < 1.0:
-        raise InvalidInput(f"tol_rel must lie in (0, 1), got {tol_rel}")
     rows, cols = a.shape
-    whole = groups[0][0] is None
-    if whole:
-        u, values, vh = _svd(a)
-        top = float(values[0]) if values.size else 0.0
-    else:
-        factors = [_svd(a[r[:, :, None], c[:, None, :]]) for r, c in groups]
-        values = np.concatenate([s.ravel() for _, s, _ in factors])
-        top = float(values.max()) if values.size else 0.0
-    threshold = _threshold(top, a.shape, tol_rel, scale)
-    ambiguous = bool(np.any((values > threshold / 10.0) & (values < threshold * 10.0)))
-    if ambiguous:
-        warnings.warn(
-            AmbiguousRankWarning(
-                f"singular value within a factor of 10 of threshold {threshold:.3e}"
-            ),
-            stacklevel=3,
-        )
-    if whole:
-        # one component, the whole matrix: the bases are slices of its SVD
-        rank = int(np.count_nonzero(values > threshold))
-        return RankResult(
-            rank=rank,
-            kernel_basis=vh[rank:].conj().T,
-            cokernel_basis=u[:, rank:],
-            row_basis=vh[:rank].conj().T,
-            range_basis=u[:, :rank],
-            singular_values=values,
-            tolerance_used=threshold,
-            ambiguous=ambiguous,
-        )
-    # the whole matrix's singular values: the components' values and zeros
-    singular = np.zeros(min(rows, cols))
-    singular[: values.size] = np.sort(values)[::-1]
-    kernel, cokernel, row, image = [], [], [], []
-    for (row_index, col_index), (u, s, vh) in zip(groups, factors):
-        kept = np.count_nonzero(s > threshold, axis=1)
-        none = np.zeros_like(kept)
-        v = vh.conj().swapaxes(1, 2)
-        kernel.append((col_index, v, kept, none + v.shape[2]))
-        row.append((col_index, v, none, kept))
-        cokernel.append((row_index, u, kept, none + u.shape[2]))
-        image.append((row_index, u, none, kept))
-    return RankResult(
-        rank=sum(int(hi.sum()) for _, _, _, hi in row),
-        kernel_basis=_basis(cols, kernel),
-        cokernel_basis=_basis(rows, cokernel),
-        row_basis=_basis(cols, row),
-        range_basis=_basis(rows, image),
-        singular_values=singular,
-        tolerance_used=threshold,
-        ambiguous=ambiguous,
-    )
+    if rows == 0 or cols == 0:
+        u = np.eye(rows, dtype=complex)
+        s = np.zeros(0)
+        vh = np.eye(cols, dtype=complex)
+        return u, s, vh
+    return np.linalg.svd(a, full_matrices=full)
+
+
+def _cut(a: np.ndarray, tol_rel: float, scale: float, full: bool = True):
+    """The SVD of a (thin unless full) and its rank under tol_rel *
+    max(rows, cols) * sigma_max (sigma_max anchored from below by scale,
+    tol_rel itself for zero)."""
+    u, s, vh = _svd(a, full)
+    smax = max(float(s[0]) if s.size else 0.0, float(scale))
+    threshold = tol_rel * max(a.shape) * smax if smax > 0.0 else tol_rel
+    return u, s, vh, threshold, int(np.count_nonzero(s > threshold))
 
 
 def rank_nullspace(a, tol_rel: float = DEFAULT_TOL, scale: float = 0.0) -> RankResult:
@@ -232,8 +126,7 @@ def rank_nullspace(a, tol_rel: float = DEFAULT_TOL, scale: float = 0.0) -> RankR
     The threshold is tol_rel * max(rows, cols) * sigma_max, falling back to
     tol_rel itself for the zero matrix. Singular values within a factor of
     10 of the threshold trigger an AmbiguousRankWarning; the computation
-    still proceeds with the stated cut. This is rank_direct_sum with the
-    whole matrix as its one component.
+    still proceeds with the stated cut.
 
     `scale` anchors the threshold from below for matrices derived from
     larger computations: a product like P @ A @ Q that is zero in exact
@@ -242,79 +135,80 @@ def rank_nullspace(a, tol_rel: float = DEFAULT_TOL, scale: float = 0.0) -> RankR
     keeps the cut honest. Zero (the default) preserves the self-relative
     behaviour.
     """
-    return _decide(as_cmatrix(a), [(None, None)], tol_rel, scale)
-
-
-def rank_direct_sum(
-    a, row_labels, col_labels, tol_rel: float = DEFAULT_TOL, scale: float = 0.0
-) -> RankResult:
-    """rank_nullspace of a matrix that is a direct sum of components.
-
-    row_labels[i] and col_labels[j], non-negative integers, name the
-    component of row i and column j; entries joining two components are
-    taken as zero and never read.
-    Each component is decomposed on its own, components of equal shape in
-    one stacked SVD call, and all are cut against the threshold of the
-    whole matrix, tol_rel * max(rows, cols) * max(sigma_max, scale). The
-    singular values of a direct sum are the union of its components'
-    values, so rank, threshold, singular values and the ambiguity warning
-    are those of the whole matrix, and the bases span the same subspaces.
-    A component may have rows and no columns, or columns and no rows.
-    """
-    return _decide(as_cmatrix(a), _groups(row_labels, col_labels), tol_rel, scale)
-
-
-def direct_sum_product(a, b, row_labels, mid_labels, col_labels) -> np.ndarray:
-    """a @ b for two direct sums over the same components: a[i, k] is zero
-    unless row_labels[i] == mid_labels[k], b[k, j] unless mid_labels[k] ==
-    col_labels[j]. One stacked product per shape of the components."""
-    groups = _groups(row_labels, mid_labels, col_labels)
-    if groups[0][0] is None:
-        return a @ b
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=complex)
-    for rows, mid, cols in groups:
-        out[rows[:, :, None], cols[:, None, :]] = (
-            a[rows[:, :, None], mid[:, None, :]] @ b[mid[:, :, None], cols[:, None, :]]
+    a = as_cmatrix(a)
+    if not 0.0 < tol_rel < 1.0:
+        raise InvalidInput(f"tol_rel must lie in (0, 1), got {tol_rel}")
+    u, s, vh, threshold, rank = _cut(a, tol_rel, scale)
+    ambiguous = bool(np.any((s > threshold / 10.0) & (s < threshold * 10.0)))
+    if ambiguous:
+        warnings.warn(
+            AmbiguousRankWarning(
+                f"singular value within a factor of 10 of threshold {threshold:.3e}"
+            ),
+            stacklevel=2,
         )
-    return out
-
-
-def column_labels(basis: np.ndarray, row_labels) -> np.ndarray:
-    """Component of each column of a basis of a direct sum: every column is
-    supported on the rows of one component, so its largest entry names it."""
-    if basis.shape[0] == 0:
-        return np.zeros(basis.shape[1], dtype=int)
-    return np.asarray(row_labels, dtype=int)[np.argmax(np.abs(basis), axis=0)]
+    return RankResult(
+        rank=rank,
+        kernel_basis=vh[rank:].conj().T,
+        cokernel_basis=u[:, rank:],
+        row_basis=vh[:rank].conj().T,
+        range_basis=u[:, :rank],
+        singular_values=s,
+        tolerance_used=threshold,
+        ambiguous=ambiguous,
+    )
 
 
 def range_basis(a, tol_rel: float = DEFAULT_TOL, scale: float = 0.0) -> np.ndarray:
     """Orthonormal basis (columns) of the column space of a, as an array of
-    its own (a thin SVD; the threshold is rank_nullspace's).
+    its own (from a thin SVD; the threshold is rank_nullspace's).
 
     `scale` has the same role as in rank_nullspace.
     """
-    a = as_cmatrix(a)
-    u, s, _ = _svd(a, full=False)
-    rank = int(np.count_nonzero(s > _threshold(float(s[0]) if s.size else 0.0, a.shape, tol_rel, scale)))
+    u, _, _, _, rank = _cut(as_cmatrix(a), tol_rel, scale, full=False)
     return u[:, :rank].copy()
 
 
 def operator_norm(a) -> float:
-    """Largest singular value of a, as sqrt of the top eigenvalue of the
-    smaller Gram matrix (no SVD); 0.0 for a zero or empty matrix. The Gram
-    matrix is formed from a scaled by a power of two (exact), so entries
-    beyond sqrt of the float range do not overflow it. A stack (n, rows,
-    cols) gives the largest over its matrices, from one eigvalsh call."""
-    a = np.asarray(a, dtype=complex) if np.ndim(a) == 3 else as_cmatrix(a)
-    top = float(np.abs(a).max()) if a.size else 0.0
+    """Largest singular value of a; block_operator_norm with a as its one
+    block."""
+    return block_operator_norm({(0, 0): as_cmatrix(a)})
+
+
+def block_operator_norm(blocks: dict) -> float:
+    """Largest singular value of the matrix whose nonzero blocks are
+    blocks[(row, col)] (every block of one row key has the same height,
+    every block of one column key the same width), as sqrt of the top
+    eigenvalue of the smaller Gram matrix; 0.0 for a zero or empty matrix.
+
+    The Gram matrix is summed block by block, so the matrix itself is never
+    formed, and no SVD runs. It is formed from the blocks scaled by one
+    power of two (exact), so entries beyond sqrt of the float range do not
+    overflow it.
+    """
+    top = max((float(np.abs(b).max()) for b in blocks.values() if b.size), default=0.0)
     if top == 0.0:
         return 0.0
     exp = math.frexp(top)[1]
-    a = a * math.ldexp(1.0, -exp)
-    h = a.conj().swapaxes(-1, -2)
-    gram = h @ a if a.shape[-1] <= a.shape[-2] else a @ h
-    eig = np.linalg.eigvalsh(gram)
-    return math.ldexp(math.sqrt(max(float(eig[-1] if eig.ndim == 1 else eig.max()), 0.0)), exp)
+    factor = math.ldexp(1.0, -exp)
+    heights = {r: b.shape[0] for (r, _), b in blocks.items()}
+    widths = {c: b.shape[1] for (_, c), b in blocks.items()}
+    if sum(widths.values()) > sum(heights.values()):
+        # the smaller Gram matrix is that of the conjugate transpose
+        blocks = {(c, r): b.conj().T for (r, c), b in blocks.items()}
+        widths = heights
+    start, size = {}, 0
+    for c, width in widths.items():
+        start[c], size = size, size + width
+    by_row = defaultdict(list)
+    for (r, c), b in blocks.items():
+        by_row[r].append((slice(start[c], start[c] + b.shape[1]), b * factor))
+    gram = np.zeros((size, size), dtype=complex)
+    for row in by_row.values():
+        for i, left in row:
+            for j, right in row:
+                gram[i, j] += left.conj().T @ right
+    return math.ldexp(math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)), exp)
 
 
 def det_modulus(a) -> float:

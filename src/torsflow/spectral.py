@@ -53,7 +53,7 @@ from .complexes import (
     modulus_from_log,
 )
 from .errors import InvalidFiltration, TorsionError
-from .linalg import DEFAULT_TOL, range_basis, rank_direct_sum, rank_nullspace
+from .linalg import DEFAULT_TOL, range_basis, rank_nullspace
 
 
 class FilteredComplex:
@@ -295,7 +295,7 @@ def filtered_pages(fc: FilteredComplex, tol_rel: float = DEFAULT_TOL) -> Spectra
     )
 
 
-def _page_step(dims: dict, diffs: dict, r: int, tol_rel: float, anchor: float, labels=None):
+def _page_step(dims: dict, diffs: dict, r: int, tol_rel: float, anchor: float):
     """One page step: the next page's bases and this page's log-torsion.
 
     dims[(level, q)] is a slot's page dimension and diffs[(level, q)] the
@@ -305,20 +305,8 @@ def _page_step(dims: dict, diffs: dict, r: int, tol_rel: float, anchor: float, l
     rank decision gives the kernel in its source slot, the range in its
     target slot and, relative to these bases, its term (-1)^(level + q)
     log_kept of the log-torsion.
-
-    labels[(level, q)], when given, is the component of each slot
-    coordinate, and d_r joins no two components: every decision, the
-    blocks' and the cuts against their ranges, is then split over the
-    components (linalg.rank_direct_sum), with the same ranks.
     """
-
-    def decide(key, mat):
-        if labels is None:
-            return rank_nullspace(mat, tol_rel, scale=anchor)
-        target = (key[0] + r, key[1] - r + 1)
-        return rank_direct_sum(mat, labels[target], labels[key], tol_rel, scale=anchor)
-
-    ranks = {key: decide(key, mat) for key, mat in diffs.items() if mat.size}
+    ranks = {key: rank_nullspace(mat, tol_rel, scale=anchor) for key, mat in diffs.items() if mat.size}
     bases = {}
     for (level, q), dim in dims.items():
         if dim == 0:
@@ -328,8 +316,7 @@ def _page_step(dims: dict, diffs: dict, r: int, tol_rel: float, anchor: float, l
         into = ranks.get((level - r, q + r - 1))
         span = out.kernel_basis if out is not None else np.eye(dim, dtype=complex)
         if into is not None:
-            slot_labels = None if labels is None else labels[(level, q)]
-            span = _within(span, into.range_basis, tol_rel, slot_labels)
+            span = _within(span, into.range_basis, tol_rel)
             if span.shape[1] != dim - into.rank - (out.rank if out is not None else 0):
                 raise TorsionError(f"page {r}, slot {(level, q)}: im d_{r} not inside ker d_{r}")
         bases[(level, q)] = span

@@ -398,6 +398,28 @@ def acyclic_zigzag_model(rng):
     return BottModel(Representation(m, gens), blocks, conns)
 
 
+def e1_ambient(model, e1):
+    """The orthonormal E_1 bases in ambient coordinates: entry k is (dim of
+    Morse degree k) x (page dimension of degree k), its columns laid out as
+    e1.cols, filled from the per-point fiber pieces e1.points."""
+    from torsflow.bott import expand_morse
+
+    morse = expand_morse(model)
+    m = model.representation.dim
+    out = [np.zeros((m * len(morse.points[k]), e1.cols[(2, k)].stop), dtype=complex) for k in range(4)]
+    for (block_id, label), (level, k, offset, piece) in e1.points.items():
+        _, rows = morse.fiber(m, block_id, label)
+        start = e1.cols[(level, k)].start + offset
+        out[k][rows, start : start + piece.shape[1]] = piece
+    return out
+
+
+def e1_basis(model, e1):
+    """basis[(level, k)]: the ambient basis of E_1 at that slot."""
+    ambient = e1_ambient(model, e1)
+    return {(level, k): ambient[k][:, s] for (level, k), s in e1.cols.items()}
+
+
 def dense_reduced_operator(model, d1):
     """Reference for the block-built reduced operator: on the dense
     assembled Morse complex, E_{k+1}^H (D_k - D_k[:, S] h D_k[S, :]) E_k for
@@ -408,7 +430,7 @@ def dense_reduced_operator(model, d1):
 
     morse = expand_morse(model)
     base = assemble_complex(model, morse, d1.cohomologies).base
-    amb = d1.e1.ambient
+    amb = e1_ambient(model, d1.e1)
     reduced = [amb[k + 1].conj().T @ base.diff(k) @ amb[k] for k in range(3)]
     src, tgt = d1.e1.cols[(0, 1)], d1.e1.cols[(2, 2)]
     if src.start == src.stop or tgt.start == tgt.stop:

@@ -28,6 +28,7 @@ from helpers import (
     assert_same_span,
     d2_fires_model,
     dense_reduced_operator,
+    e1_basis,
     extremal_to_saddle_model,
     kovalevskaya_model,
     kovalevskaya_replica,
@@ -356,9 +357,9 @@ class TestAssembleD2:
         gen = res.pages[2]
         src, tgt = gen.spaces[(0, 0)], gen.spaces[(2, -1)]
         ambient_generic = tgt @ gen.diffs[(0, 0)] @ src.conj().T
-        e1 = d1.e1
-        amb_src = e1.basis[(0, 0)] @ p2.bases[(0, 0)]
-        amb_tgt = e1.basis[(2, 1)] @ p2.bases[(2, -1)]
+        basis = e1_basis(model, d1.e1)
+        amb_src = basis[(0, 0)] @ p2.bases[(0, 0)]
+        amb_tgt = basis[(2, 1)] @ p2.bases[(2, -1)]
         ambient_block = amb_tgt @ d2[0] @ amb_src.conj().T
         assert np.abs(ambient_block - ambient_generic).max() < 1e-9
 
@@ -761,8 +762,8 @@ _REFERENCE = list(_reference_models())
 
 
 class TestBlockSparse:
-    """total_torsion holds the Morse differential as m x m blocks and splits
-    every page decision over the model's connected components."""
+    """total_torsion holds the Morse differential as m x m blocks and never
+    forms the dense Morse complex."""
 
     @pytest.mark.parametrize("model", [m for _, m in _REFERENCE], ids=[name for name, _ in _REFERENCE])
     def test_reduced_operator_matches_the_dense_reference(self, model):
@@ -778,25 +779,24 @@ class TestBlockSparse:
             want = reference[q][cols[(2, q + 1)], cols[(0, q)]]
             assert d1.skips[q].shape == want.shape
             assert np.abs(d1.skips[q] - want).max(initial=0.0) <= 1e-12
-        # the anchor is the dense Morse complex's, from the component blocks
-        assert d1.e1.anchor == pytest.approx(assemble_complex(model).base.rank_scale, rel=1e-12)
+        # the block-summed anchor is the dense Morse differential's norm
+        from torsflow.linalg import operator_norm
 
-    def test_no_decomposition_larger_than_two_fibers(self, monkeypatch):
-        # every SVD and Gram eigendecomposition in the solve sees one
-        # component's blocks: at most 2m x 2m, never the ambient complex
-        m = 3
-        shapes = []
-        for name in ("svd", "eigvalsh"):
-            original = getattr(np.linalg, name)
+        base = assemble_complex(model).base
+        dense = max([1.0] + [operator_norm(base.diff(k)) for k in range(3)])
+        assert d1.e1.anchor == pytest.approx(dense, rel=1e-12)
+        assert base.rank_scale == d1.e1.anchor
 
-            def recorded(a, *args, _original=original, **kwargs):
-                shapes.append(np.shape(a)[-2:])
-                return _original(a, *args, **kwargs)
+    def test_solve_forms_no_dense_morse_complex(self, monkeypatch):
+        import torsflow.bott as bott
 
-            monkeypatch.setattr(np.linalg, name, recorded)
-        report = total_torsion(kovalevskaya_replica(8, m), mode="full")
-        assert report.total.modulus == pytest.approx(4.0 ** (8 * m), rel=1e-12)
-        assert shapes and max(max(shape) for shape in shapes) <= 2 * m
+        def dense(*args, **kwargs):
+            raise AssertionError("dense Morse complex formed")
+
+        monkeypatch.setattr(bott, "assemble_complex", dense)
+        monkeypatch.setattr(bott, "BasedComplex", dense)
+        report = total_torsion(kovalevskaya_replica(8, 3), mode="full")
+        assert report.total.modulus == pytest.approx(4.0 ** 24, rel=1e-12)
 
     def test_thousands_of_blocks(self):
         # 2,304 blocks: 4^384 is inside the float range
@@ -805,15 +805,17 @@ class TestBlockSparse:
         assert report.acyclic
 
     @pytest.mark.parametrize(
-        "stacked, stage", [(False, "block cohomology"), (True, "first page")], ids=["any", "stacked"]
+        "largest, stage", [(0, "block cohomology"), (4, "first page")], ids=["any", "page"]
     )
-    def test_memory_error_names_the_stage(self, monkeypatch, stacked, stage):
+    def test_memory_error_names_the_stage(self, monkeypatch, largest, stage):
+        # SVDs up to `largest` rows and columns still run: at m = 2 the block
+        # D matrices are 2 x 2 and the first page decisions are larger
         from torsflow import TorsionError
 
         original = np.linalg.svd
 
         def exhausted(a, *args, **kwargs):
-            if stacked and np.ndim(a) < 3:
+            if max(np.shape(a)) <= largest:
                 return original(a, *args, **kwargs)
             raise MemoryError
 

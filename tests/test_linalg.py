@@ -203,120 +203,28 @@ def test_operator_norm_beyond_the_gram_range():
     assert operator_norm(np.diag([1e-200, 3e-200])) == pytest.approx(3e-200, rel=1e-12)
 
 
-def _direct_sum(rng, shapes, ranks, scales):
-    """A direct sum of random components of the given shapes, ranks and
-    scales, its rows and columns shuffled: (matrix, row labels, column
-    labels)."""
-    rows, cols = sum(r for r, _ in shapes), sum(c for _, c in shapes)
-    a = np.zeros((rows, cols), dtype=complex)
-    row_labels = np.repeat(np.arange(len(shapes)), [r for r, _ in shapes])
-    col_labels = np.repeat(np.arange(len(shapes)), [c for _, c in shapes])
-    r0 = c0 = 0
-    for (r, c), k, s in zip(shapes, ranks, scales):
-        factor = rng.standard_normal((r, k)) + 1j * rng.standard_normal((r, k))
-        a[r0 : r0 + r, c0 : c0 + c] = s * factor @ rng.standard_normal((k, c))
-        r0, c0 = r0 + r, c0 + c
-    row_perm, col_perm = rng.permutation(rows), rng.permutation(cols)
-    return a[row_perm][:, col_perm], row_labels[row_perm], col_labels[col_perm]
+@pytest.mark.parametrize("shape", [(3, 5), (5, 3), (4, 4)], ids=["wide", "tall", "square"])
+def test_block_operator_norm_matches_the_assembled_matrix(shape):
+    # blocks of unequal sizes, some rows and columns of blocks empty, and
+    # two blocks on one row and one column: the norm of the assembled matrix
+    from torsflow.linalg import block_operator_norm, operator_norm
 
-
-def _decisions(a, row_labels, col_labels, scale):
-    """The direct-sum decision and rank_nullspace on the assembled matrix,
-    each with the AmbiguousRankWarnings it raised."""
-    import warnings
-
-    from torsflow.linalg import rank_direct_sum
-
-    out = []
-    for decide in (
-        lambda: rank_direct_sum(a, row_labels, col_labels, scale=scale),
-        lambda: rank_nullspace(a, scale=scale),
-    ):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", AmbiguousRankWarning)
-            res = decide()
-        out.append((res, [w for w in caught if issubclass(w.category, AmbiguousRankWarning)]))
-    return out
-
-
-@pytest.mark.parametrize(
-    "shapes, ranks, scales",
-    [
-        ([(3, 3)] * 4, [3, 3, 2, 3], [1.0, 2.0, 0.5, 1.0]),
-        ([(2, 3), (4, 1), (3, 3), (1, 2), (3, 3)], [2, 1, 1, 0, 3], [1.0, 3.0, 1e-3, 1.0, 7.0]),
-        ([(2, 0), (0, 3), (2, 2), (3, 2), (2, 2)], [0, 0, 0, 2, 1], [1.0, 1.0, 1.0, 1.0, 1.0]),
-        ([(0, 2), (3, 0), (0, 0)], [0, 0, 0], [1.0, 1.0, 1.0]),
-        ([(1, 1)] * 6 + [(2, 1)] * 3, [1] * 6 + [1, 0, 1], [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 1.0, 1.0, 1.0]),
-        ([(4, 3)], [2], [1.0]),
-    ],
-    ids=["equal-shapes", "unequal-shapes", "zero-rows-and-columns", "empty-components", "many-small", "one-block"],
-)
-@pytest.mark.parametrize("scale", [0.0, 0.1, 1e3])
-def test_direct_sum_decision_matches_the_whole_matrix(shapes, ranks, scales, scale):
-    rng = np.random.default_rng(len(shapes) * 10 + sum(ranks))
-    a, row_labels, col_labels = _direct_sum(rng, shapes, ranks, scales)
-    (split, split_warned), (whole, whole_warned) = _decisions(a, row_labels, col_labels, scale)
-    assert split.rank == whole.rank
-    assert split.tolerance_used == pytest.approx(whole.tolerance_used, rel=1e-12)
-    assert split.singular_values.shape == whole.singular_values.shape
-    top = max(whole.singular_values.max(initial=0.0), 1.0)
-    assert np.abs(split.singular_values - whole.singular_values).max(initial=0.0) <= 1e-12 * top
-    assert split.log_kept == pytest.approx(whole.log_kept, rel=1e-12, abs=1e-12)
-    for name in ("kernel_basis", "cokernel_basis", "row_basis", "range_basis"):
-        assert_same_span(getattr(split, name), getattr(whole, name))
-    assert bool(split_warned) == bool(whole_warned) == split.ambiguous == whole.ambiguous
-
-
-def test_direct_sum_ambiguity_is_the_whole_matrix_warning():
-    # a singular value 3 thresholds above the cut of the whole matrix, in a
-    # component whose own cut would sit far below it
-    rows = cols = 5
-    threshold = 1e-10 * max(rows, cols) * 1.0
-    a = np.diag([1.0, 0.9, 3 * threshold, 0.5, 0.8]).astype(complex)
-    labels = np.array([0, 0, 1, 2, 2])
-    (split, split_warned), (whole, whole_warned) = _decisions(a, labels, labels, 0.0)
-    assert whole_warned and split_warned and split.ambiguous
-    assert split.rank == whole.rank == 5
-    a[2, 2] = 100 * threshold
-    (split, split_warned), (whole, whole_warned) = _decisions(a, labels, labels, 0.0)
-    assert not whole_warned and not split_warned
-
-
-def test_one_component_is_rank_nullspace():
-    from torsflow.linalg import rank_direct_sum
-
-    rng = np.random.default_rng(31)
-    a = rng.standard_normal((5, 4)) @ rng.standard_normal((4, 7)) + 0j
-    split = rank_direct_sum(a, np.full(5, 3), np.full(7, 3))
-    whole = rank_nullspace(a)
-    assert split.rank == whole.rank == 4
-    for name in ("kernel_basis", "cokernel_basis", "row_basis", "range_basis", "singular_values"):
-        assert np.array_equal(getattr(split, name), getattr(whole, name))
-
-
-def test_equal_shapes_share_one_svd_call(monkeypatch):
-    from torsflow.linalg import rank_direct_sum
-
-    calls = []
-    original = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: calls.append(np.shape(a)) or original(a, *args, **kw))
-    a, row_labels, col_labels = _direct_sum(
-        np.random.default_rng(32), [(2, 2)] * 5 + [(3, 1)] * 2 + [(1, 1)], [2] * 5 + [1, 1, 1], [1.0] * 8
-    )
-    assert rank_direct_sum(a, row_labels, col_labels).rank == 13
-    assert sorted(calls) == [(1, 1, 1), (2, 3, 1), (5, 2, 2)]
-
-
-def test_direct_sum_product_matches_the_dense_product():
-    from torsflow.linalg import direct_sum_product
-
-    rng = np.random.default_rng(33)
-    a, rows, mid = _direct_sum(rng, [(2, 3), (1, 1), (3, 2), (0, 2)], [2, 1, 2, 0], [1.0] * 4)
-    b = np.zeros((mid.size, 5), dtype=complex)
-    cols = rng.permutation(np.array([0, 0, 1, 2, 3]))
-    for j, comp in enumerate(cols):
-        b[mid == comp, j] = rng.standard_normal(int((mid == comp).sum()))
-    assert np.allclose(direct_sum_product(a, b, rows, mid, cols), a @ b, atol=1e-14)
+    rng = np.random.default_rng(35)
+    heights, widths = [2, 1, 3, 2, 1][: shape[0]], [1, 3, 2, 2, 1][: shape[1]]
+    rows, cols = np.cumsum([0] + heights), np.cumsum([0] + widths)
+    dense = np.zeros((rows[-1], cols[-1]), dtype=complex)
+    blocks = {}
+    for i, j in [(0, 0), (0, 2), (1, 1), (2, 2), (shape[0] - 1, shape[1] - 1)]:
+        block = rng.standard_normal((heights[i], widths[j])) + 1j * rng.standard_normal((heights[i], widths[j]))
+        blocks[(f"r{i}", f"c{j}")] = block
+        dense[rows[i] : rows[i + 1], cols[j] : cols[j + 1]] = block
+    want = np.linalg.norm(dense, 2)
+    assert block_operator_norm(blocks) == pytest.approx(want, rel=1e-12)
+    assert operator_norm(dense) == pytest.approx(want, rel=1e-12)
+    huge = {key: 1e200 * block for key, block in blocks.items()}
+    assert block_operator_norm(huge) == pytest.approx(1e200 * want, rel=1e-12)
+    assert block_operator_norm({}) == 0.0
+    assert block_operator_norm({("r", "c"): np.zeros((2, 3), dtype=complex)}) == 0.0
 
 
 def test_range_basis_owns_its_memory():
