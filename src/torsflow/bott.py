@@ -77,7 +77,7 @@ from .errors import (
     NotAComplex,
     TorsionError,
 )
-from .linalg import DEFAULT_TOL, RankResult, block_operator_norm, det_modulus, rank_nullspace
+from .linalg import DEFAULT_TOL, RankResult, block_operator_norm, rank_nullspace
 from .representation import Representation, parse_word
 from .spectral import FilteredComplex, _page_note, _page_step
 
@@ -292,7 +292,9 @@ for _src, _dst in [
 def connection_kind(blocks: dict, conn: GradientConnection) -> str:
     """Classify a connection as a d1 or d2 component, or raise IllegalConnection.
 
-    blocks is the model's block_map(), built once by the caller.
+    This is the one licensing rule: validate_model applies it to every
+    connection, so no assembly stage meets an unlicensed pair. blocks is
+    the model's block_map(), built once by the caller.
     """
     lo_block = blocks[conn.to_point[0]]
     hi_block = blocks[conn.from_point[0]]
@@ -317,8 +319,10 @@ def validate_model(model: BottModel) -> list[Diagnostic]:
 
     Checks the tier ordering of the block list, id uniqueness, non-decreasing
     critical values (ties within a tier are fine, list order breaks them),
-    generator unitarity, word well-formedness, and connection index
-    arithmetic including the no-saddle-to-saddle assumption.
+    generator unitarity, word well-formedness, and every connection: its
+    points must exist, and connection_kind must license the pair. A pair of
+    non-consecutive index or between two saddle circles gets its own more
+    specific message instead.
     """
     diags: list[Diagnostic] = []
     rep = model.representation
@@ -388,6 +392,7 @@ def validate_model(model: BottModel) -> list[Diagnostic]:
         lo = blocks[conn.to_point[0]]
         hi_index = hi.point_index(conn.from_point[1])
         lo_index = lo.point_index(conn.to_point[1])
+        specific = len(diags)
         if hi_index != lo_index + 1:
             diags.append(
                 Diagnostic(
@@ -406,6 +411,11 @@ def validate_model(model: BottModel) -> list[Diagnostic]:
                     f"connection between saddle circles {hi.id} and {lo.id}",
                 )
             )
+        if len(diags) == specific:
+            try:
+                connection_kind(blocks, conn)
+            except IllegalConnection as err:
+                diags.append(Diagnostic("IllegalConnection", subject, str(err)))
         for orbit in conn.orbits:
             for msg in rep.word_errors(orbit.word):
                 diags.append(Diagnostic("InvalidInput", subject, msg))
@@ -453,16 +463,11 @@ class BlockCohomology:
 def block_cohomology(
     block: CriticalBlock,
     rep: Representation,
-    n: Optional[int] = None,
     tol_rel: float = DEFAULT_TOL,
 ) -> BlockCohomology:
-    """Cohomology and torsion factor of one critical block."""
-    middle = block.middle_degree
-    if n is not None and n != middle:
-        raise InvalidInput(
-            f"block {block.id}: degree parameter {n} does not match the block ({middle})"
-        )
-    n = middle
+    """Cohomology and torsion factor of one critical block, in the degrees
+    around its middle degree n = block.middle_degree."""
+    n = block.middle_degree
     warn: list[str] = []
     eye = rep.identity()
 
@@ -568,11 +573,6 @@ def expand_morse(model: BottModel) -> MorseData:
     1, 2, 2, 3 (maximal).
     """
     ensure_valid(model)
-    return _morse_layout(model)
-
-
-def _morse_layout(model: BottModel) -> MorseData:
-    """expand_morse for a model that has already been validated."""
     points: list[list[MorsePoint]] = [[], [], [], []]
     slot: dict = {}
     for block in model.blocks:
@@ -600,7 +600,8 @@ def _morse_differential(model: BottModel, cohomologies) -> dict:
     """The Morse differential as m x m blocks keyed (k, target point, source
     point), a point being (block id, label) and k the source degree: the
     within-block matrices and the connection orbit sums, summed where one
-    pair carries several. Raises IllegalConnection for an unlicensed pair."""
+    pair carries several. The model has been validated, so every pair is
+    licensed."""
     rep = model.representation
     blocks = model.block_map()
     out: dict = {}
@@ -612,7 +613,6 @@ def _morse_differential(model: BottModel, cohomologies) -> dict:
         for src, dst, mat in _block_internal_components(block, coh):
             add((block.point_index(src), (block.id, dst), (block.id, src)), mat)
     for conn in model.connections:
-        connection_kind(blocks, conn)
         k = blocks[conn.to_point[0]].point_index(conn.to_point[1])
         add((k, conn.from_point, conn.to_point), conn.matrix(rep))
     return out
@@ -664,7 +664,6 @@ def _morse_anchor(diff: dict) -> float:
 
 def assemble_complex(
     model: BottModel,
-    morse: Optional[MorseData] = None,
     cohomologies: Optional[Sequence[BlockCohomology]] = None,
     tol_rel: float = DEFAULT_TOL,
 ) -> FilteredComplex:
@@ -675,8 +674,7 @@ def assemble_complex(
     sums; the filtration level of a fiber is its block's level. This is the
     dense complex filtered_pages runs on; total_torsion does not form it.
     """
-    if morse is None:
-        morse = expand_morse(model)
+    morse = expand_morse(model)
     rep = model.representation
     m = rep.dim
     if cohomologies is None:
@@ -715,20 +713,20 @@ class E1Data:
     level by block in model order; cols[(level, k)] is the column range of
     one level. points[(block id, label)] = (level, k, offset, piece): piece
     is the point's m fiber rows of its block's degree-k cohomology basis,
-    which fill the slot (level, k) from column offset on. anchor is the
-    operator norm of the Morse differential.
+    which fill the slot (level, k) from column offset on. anchor is
+    max(1, operator norm of the Morse differential).
     """
 
     cols: dict
     points: dict
-    anchor: float = 0.0
+    anchor: float
 
     def dims(self) -> dict:
         """Page dimension of every slot (level, q), levels outermost."""
         return {(level, k - level): s.stop - s.start for (level, k), s in self.cols.items()}
 
 
-def _build_e1(model, cohomologies) -> E1Data:
+def _build_e1(model, cohomologies, anchor: float) -> E1Data:
     m = model.representation.dim
     width = Counter()
     for block, coh in zip(model.blocks, cohomologies):
@@ -752,7 +750,7 @@ def _build_e1(model, cohomologies) -> E1Data:
             used[k] += m
         for k, b in coh.bases.items():
             offset[(level, k)] += b.shape[1]
-    return E1Data(cols=cols, points=points)
+    return E1Data(cols=cols, points=points, anchor=anchor)
 
 
 @dataclass
@@ -768,7 +766,6 @@ class D1Data:
     blocks: dict
     skips: dict
     e1: E1Data
-    cohomologies: list
     warnings: list
 
 
@@ -812,7 +809,6 @@ def _missing_connection_warnings(model: BottModel) -> list[str]:
 
 def assemble_d1(
     model: BottModel,
-    morse: Optional[MorseData] = None,
     cohomologies: Optional[Sequence[BlockCohomology]] = None,
     tol_rel: float = DEFAULT_TOL,
 ) -> D1Data:
@@ -829,22 +825,22 @@ def assemble_d1(
     formed; the anchor, the Morse operator norm, comes from block-summed
     Gram matrices. Licensed pairs with no connection default to zero; the
     warnings then hold one summary line per kind (d1, d2) with the number
-    of such pairs and the first few of them.
+    of such pairs and the first few of them. Given cohomologies are the
+    caller's, for a model it has validated (total_torsion passes its own);
+    without them the model is validated here.
     """
-    if morse is None:
-        morse = expand_morse(model)
     if cohomologies is None:
+        ensure_valid(model)
         cohomologies = [block_cohomology(b, model.representation, tol_rel=tol_rel) for b in model.blocks]
     diff = _morse_differential(model, cohomologies)
     _check_square_zero(diff, cohomologies)
-    e1 = _build_e1(model, cohomologies)
-    e1.anchor = _morse_anchor(diff)
+    e1 = _build_e1(model, cohomologies, _morse_anchor(diff))
 
     warnings = [w for coh in cohomologies for w in coh.warnings]
     warnings += _missing_connection_warnings(model)
 
     blocks, skips = _reduced_operator(model, cohomologies, diff, e1)
-    return D1Data(blocks=blocks, skips=skips, e1=e1, cohomologies=cohomologies, warnings=warnings)
+    return D1Data(blocks=blocks, skips=skips, e1=e1, warnings=warnings)
 
 
 def _reduced_operator(model, cohomologies, diff, e1) -> tuple:
@@ -909,14 +905,11 @@ class PageTwo:
 
 
 def page_two(d1: D1Data, tol_rel: float = DEFAULT_TOL) -> PageTwo:
-    anchor = max(1.0, d1.e1.anchor)
-    bases, log_tau = _page_step(d1.e1.dims(), d1.blocks, 1, tol_rel, anchor)
+    bases, log_tau = _page_step(d1.e1.dims(), d1.blocks, 1, tol_rel, d1.e1.anchor)
     return PageTwo(bases=bases, d1=d1, log_torsion=log_tau)
 
 
-def assemble_d2(
-    model: BottModel, morse: MorseData, page2: PageTwo, tol_rel: float = DEFAULT_TOL
-) -> dict:
+def assemble_d2(page2: PageTwo) -> dict:
     """Second-page differentials d2 : E_2^(0,q) -> E_2^(2,q-1), q = 0, 1, 2.
 
     The component is the level 0 -> 2 slice of the reduced first-page
@@ -969,9 +962,12 @@ def total_torsion(model: BottModel, mode: str = "auto", tol_rel: float = DEFAULT
     """Torsion of the isoenergy surface from the block data.
 
     mode "fast" uses the determinant product prod |det D_i|^((-1)^u_i),
-    legal only when every block is a circle with nonsingular D. mode
-    "full" runs the page-by-page pipeline. mode "auto" runs the full
-    pipeline and cross-checks the fast product whenever it is legal.
+    legal only when every block is a circle whose D block_cohomology found
+    nonsingular at tol_rel; each log |det D_i| then comes from an LU
+    (numpy slogdet), so no second rank decision is made. mode "full" runs
+    the page-by-page pipeline. mode "auto" runs the full pipeline and
+    cross-checks the fast product whenever it is legal; the two logs must
+    agree to 1e-8.
 
     Acyclic totals are canonical. Non-acyclic (relative) totals are
     measured in E_1 coordinates, on the block cohomology bases; they can
@@ -1001,20 +997,17 @@ def total_torsion(model: BottModel, mode: str = "auto", tol_rel: float = DEFAULT
         )
 
     # moduli are accumulated as sums of logs: a product of finite block
-    # factors in model order can leave the float range midway
-    fast_value = None
+    # factors in model order can leave the float range midway. Every D here
+    # was found nonsingular at tol_rel by block_cohomology; its log |det|
+    # comes from an LU, independent of that SVD
     if fast_legal:
         log_fast = 0.0
         with _stage("fast path product", model):
             for b, coh in zip(model.blocks, cohomologies):
-                det = det_modulus(coh.D)
-                if det == 0.0:
-                    raise FastPathUnavailable(f"block {b.id}: D is singular")
-                log_fast += (-1) ** b.index * math.log(det)
+                log_fast += (-1) ** b.index * float(np.linalg.slogdet(coh.D)[1])
 
     if mode == "fast":
-        fast_value = modulus_from_log(log_fast, "fast path product")
-        tau_d0 = TorsionScalar(fast_value, ACYCLIC_NOTE)
+        tau_d0 = TorsionScalar(modulus_from_log(log_fast, "fast path product"), ACYCLIC_NOTE)
         return TorsionReport(
             per_block=cohomologies,
             e1_dims={},
@@ -1027,15 +1020,13 @@ def total_torsion(model: BottModel, mode: str = "auto", tol_rel: float = DEFAULT
             acyclic=True,
             warnings=[w for coh in cohomologies for w in coh.warnings],
             mode="fast",
-            fast_total=fast_value,
+            fast_total=tau_d0.modulus,
             tolerance=tol_rel,
         )
 
     with _stage("first page", model):
-        morse = _morse_layout(model)
-        d1 = assemble_d1(model, morse, cohomologies, tol_rel=tol_rel)
+        d1 = assemble_d1(model, cohomologies, tol_rel=tol_rel)
         page2 = page_two(d1, tol_rel=tol_rel)
-    anchor = max(1.0, d1.e1.anchor)
 
     e1_dims_full = d1.e1.dims()
     e2_dims_full = {key: b.shape[1] for key, b in page2.bases.items()}
@@ -1051,8 +1042,8 @@ def total_torsion(model: BottModel, mode: str = "auto", tol_rel: float = DEFAULT
 
     # third page: cohomology of (E_2, d_2); levels 0 and 2 move, level 1 is stable
     with _stage("second page", model):
-        d2 = {(0, q): mat for q, mat in assemble_d2(model, morse, page2, tol_rel=tol_rel).items()}
-        page3, log_d2 = _page_step(e2_dims_full, d2, 2, tol_rel, anchor)
+        d2 = {(0, q): mat for q, mat in assemble_d2(page2).items()}
+        page3, log_d2 = _page_step(e2_dims_full, d2, 2, tol_rel, d1.e1.anchor)
     tau_d2 = TorsionScalar(modulus_from_log(log_d2, "tau_d2"), _page_note(page3))
 
     einf_dims = {key: b.shape[1] for key, b in page3.items() if b.shape[1]}
@@ -1070,6 +1061,7 @@ def total_torsion(model: BottModel, mode: str = "auto", tol_rel: float = DEFAULT
         )
 
     mode_used = "full"
+    fast_value = None
     if fast_legal:
         if mode == "auto":
             mode_used = "auto"

@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import BasisMismatch, InvalidInput, NotAComplex, NotExact, TorsionError
-from .linalg import DEFAULT_TOL, as_cmatrix, modulus_from_log, operator_norm, range_basis, rank_nullspace
+from .linalg import DEFAULT_TOL, as_cmatrix, modulus_from_log, operator_norm, rank_nullspace
 
 #: basis_note flag values for TorsionScalar
 ACYCLIC_NOTE = "acyclic-canonical"
@@ -379,9 +379,11 @@ def ses_torsion(
                     f"degree {k}: bases are not volume compatible, |tau| = {vol.modulus:.6g}"
                 )
 
-    h_sub = cohomology_bases(sub, tol_rel)
-    h_tot = cohomology_bases(total, tol_rel)
-    h_quo = cohomology_bases(quot, tol_rel)
+    # one harmonic pass per complex: the cohomology bases, and the
+    # coboundary bases b[k] = im d^(k-1) that the class coordinates use
+    _, b_sub, h_sub = _harmonic_bases(sub, tol_rel)
+    _, b_tot, h_tot = _harmonic_bases(total, tol_rel)
+    _, b_quo, h_quo = _harmonic_bases(quot, tol_rel)
     tau_sub = complex_torsion(sub, dict(enumerate(h_sub)), tol_rel=tol_rel)
     tau_tot = complex_torsion(total, dict(enumerate(h_tot)), tol_rel=tol_rel)
     tau_quo = complex_torsion(quot, dict(enumerate(h_quo)), tol_rel=tol_rel)
@@ -393,31 +395,15 @@ def ses_torsion(
     for k in range(m + 1):
         hs, ht, hq = h_sub[k], h_tot[k], h_quo[k]
         les_dims += [hs.shape[1], ht.shape[1], hq.shape[1]]
-        i_star = _class_coords(
-            inc[k] @ hs,
-            ht,
-            range_basis(total.diff(k - 1), tol_rel, scale=total.rank_scale),
-            f"H^{k} inclusion",
-            tol_rel,
-        )
-        j_star = _class_coords(
-            prj[k] @ ht,
-            hq,
-            range_basis(quot.diff(k - 1), tol_rel, scale=quot.rank_scale),
-            f"H^{k} projection",
-            tol_rel,
-        )
+        i_star = _class_coords(inc[k] @ hs, ht, b_tot[k], f"H^{k} inclusion", tol_rel)
+        j_star = _class_coords(prj[k] @ ht, hq, b_quo[k], f"H^{k} projection", tol_rel)
         les_diffs += [i_star, j_star]
         if k < m:
             lifts = _sub_lift(prj[k], hq, f"degree {k}: lifting quotient classes")
             dc = total.diff(k) @ lifts
             pulled = _sub_lift(inc[k + 1], dc, f"degree {k}: pulling back coboundaries")
             delta = _class_coords(
-                pulled,
-                h_sub[k + 1],
-                range_basis(sub.diff(k), tol_rel, scale=sub.rank_scale),
-                f"H^{k} connecting map",
-                tol_rel,
+                pulled, h_sub[k + 1], b_sub[k + 1], f"H^{k} connecting map", tol_rel
             )
             les_diffs.append(delta)
     # maps are coordinates against orthonormal bases of subquotients; anchor
@@ -427,9 +413,9 @@ def ses_torsion(
         les = BasedComplex(les_dims, les_diffs, rank_scale=les_anchor)
     except NotAComplex as err:
         raise NotExact(f"long exact sequence is not a complex: {err}") from err
-    if any(d > 0 for d in cohomology_dims(les, tol_rel)):
+    les_cohomology, tau_les = _dims_and_torsion(les, None, None, tol_rel)
+    if any(les_cohomology):
         raise NotExact("long exact cohomology sequence is not exact")
-    tau_les = complex_torsion(les, tol_rel=tol_rel)
 
     expect = tau_sub.modulus * tau_quo.modulus * tau_les.modulus
     if not (abs(tau_tot.modulus - expect) <= 1e-8 * max(abs(expect), 1e-300)):

@@ -111,13 +111,26 @@ def _svd(a: np.ndarray, full: bool = True):
 
 
 def _cut(a: np.ndarray, tol_rel: float, scale: float, full: bool = True):
-    """The SVD of a (thin unless full) and its rank under tol_rel *
+    """The SVD of a (thin unless full), its rank under tol_rel *
     max(rows, cols) * sigma_max (sigma_max anchored from below by scale,
-    tol_rel itself for zero)."""
+    tol_rel itself for zero), and whether the cut is ambiguous: some
+    singular value within a factor of 10 of the threshold, which warns
+    AmbiguousRankWarning at the caller of the public entry point. tol_rel
+    must lie in (0, 1)."""
+    if not 0.0 < tol_rel < 1.0:
+        raise InvalidInput(f"tol_rel must lie in (0, 1), got {tol_rel}")
     u, s, vh = _svd(a, full)
     smax = max(float(s[0]) if s.size else 0.0, float(scale))
     threshold = tol_rel * max(a.shape) * smax if smax > 0.0 else tol_rel
-    return u, s, vh, threshold, int(np.count_nonzero(s > threshold))
+    ambiguous = bool(np.any((s > threshold / 10.0) & (s < threshold * 10.0)))
+    if ambiguous:
+        warnings.warn(
+            AmbiguousRankWarning(
+                f"singular value within a factor of 10 of threshold {threshold:.3e}"
+            ),
+            stacklevel=3,
+        )
+    return u, s, vh, threshold, int(np.count_nonzero(s > threshold)), ambiguous
 
 
 def rank_nullspace(a, tol_rel: float = DEFAULT_TOL, scale: float = 0.0) -> RankResult:
@@ -135,18 +148,7 @@ def rank_nullspace(a, tol_rel: float = DEFAULT_TOL, scale: float = 0.0) -> RankR
     keeps the cut honest. Zero (the default) preserves the self-relative
     behaviour.
     """
-    a = as_cmatrix(a)
-    if not 0.0 < tol_rel < 1.0:
-        raise InvalidInput(f"tol_rel must lie in (0, 1), got {tol_rel}")
-    u, s, vh, threshold, rank = _cut(a, tol_rel, scale)
-    ambiguous = bool(np.any((s > threshold / 10.0) & (s < threshold * 10.0)))
-    if ambiguous:
-        warnings.warn(
-            AmbiguousRankWarning(
-                f"singular value within a factor of 10 of threshold {threshold:.3e}"
-            ),
-            stacklevel=2,
-        )
+    u, s, vh, threshold, rank, ambiguous = _cut(as_cmatrix(a), tol_rel, scale)
     return RankResult(
         rank=rank,
         kernel_basis=vh[rank:].conj().T,
@@ -161,11 +163,12 @@ def rank_nullspace(a, tol_rel: float = DEFAULT_TOL, scale: float = 0.0) -> RankR
 
 def range_basis(a, tol_rel: float = DEFAULT_TOL, scale: float = 0.0) -> np.ndarray:
     """Orthonormal basis (columns) of the column space of a, as an array of
-    its own (from a thin SVD; the threshold is rank_nullspace's).
+    its own (from a thin SVD; the threshold and the AmbiguousRankWarning
+    are rank_nullspace's).
 
     `scale` has the same role as in rank_nullspace.
     """
-    u, _, _, _, rank = _cut(as_cmatrix(a), tol_rel, scale, full=False)
+    u, _, _, _, rank, _ = _cut(as_cmatrix(a), tol_rel, scale, full=False)
     return u[:, :rank].copy()
 
 

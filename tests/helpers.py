@@ -425,11 +425,13 @@ def dense_reduced_operator(model, d1):
     assembled Morse complex, E_{k+1}^H (D_k - D_k[:, S] h D_k[S, :]) E_k for
     k = 0, 1, 2, with E the ambient E_1 bases of d1 and h the pseudo-inverse
     of each saddle's D on the zig-zags level 0 -> s.z, s.w -> level 2."""
-    from torsflow import assemble_complex
+    from torsflow import assemble_complex, block_cohomology
     from torsflow.bott import expand_morse
 
     morse = expand_morse(model)
-    base = assemble_complex(model, morse, d1.cohomologies).base
+    # block_cohomology is deterministic: these are the cohomologies d1 was built on
+    cohomologies = [block_cohomology(b, model.representation) for b in model.blocks]
+    base = assemble_complex(model, cohomologies).base
     amb = e1_ambient(model, d1.e1)
     reduced = [amb[k + 1].conj().T @ base.diff(k) @ amb[k] for k in range(3)]
     src, tgt = d1.e1.cols[(0, 1)], d1.e1.cols[(2, 2)]
@@ -439,7 +441,7 @@ def dense_reduced_operator(model, d1):
     through = fed & {conn.to_point[0] for conn in model.connections if conn.to_point[1] == "w"}
     d = base.diff(1)
     m = model.representation.dim
-    for block, coh in zip(model.blocks, d1.cohomologies):
+    for block, coh in zip(model.blocks, cohomologies):
         if block.kind != "circle" or block.index != 1 or block.id not in through:
             continue
         res = coh.rank_result

@@ -105,6 +105,26 @@ class TestValidateModel:
         )
         assert any(d.code == "IllegalConnection" for d in validate_model(model))
 
+    def test_unlicensed_pair_of_consecutive_index(self):
+        # m1.z (index 1) -> m2.w (index 0) is consecutive, but no differential
+        # component joins two minimum circles: validation is the one place
+        # that says so, for every entry point
+        rep = simple_rep()
+        model = BottModel(
+            rep,
+            (
+                CriticalBlock("m1", "circle", 0.0, index=0, delta=1, holonomy=("g",)),
+                CriticalBlock("m2", "circle", 0.0, index=0, delta=1, holonomy=("g",)),
+            ),
+            (GradientConnection(("m1", "z"), ("m2", "w"), (Orbit(1, ()),)),),
+        )
+        diags = validate_model(model)
+        assert [(d.code, d.subject) for d in diags] == [("IllegalConnection", "connection[0]")]
+        assert "between a minimum circle point 'w' and a minimum circle point 'z'" in diags[0].message
+        for entry in (expand_morse, total_torsion, assemble_d1, assemble_complex):
+            with pytest.raises(IllegalConnection, match=r"\[connection\[0\]\] connection m1.z -> m2.w"):
+                entry(model)
+
     def test_unknown_block_or_label(self):
         rep = simple_rep()
         model = BottModel(
@@ -184,12 +204,6 @@ class TestBlockCohomology:
         block = CriticalBlock("c", "circle", 0.0, index=0, delta=1, holonomy=("u", "u^-1"))
         coh = block_cohomology(block, rep)
         assert coh.dims == {0: 3, 1: 3}
-
-    def test_wrong_degree_parameter(self):
-        rep = simple_rep()
-        block = CriticalBlock("m", "circle", 0.0, index=0, delta=1)
-        with pytest.raises(InvalidInput):
-            block_cohomology(block, rep, n=2)
 
     def test_noncommuting_pair_warns(self):
         rng = np.random.default_rng(8)
@@ -314,11 +328,10 @@ class TestAssembleD1:
 class TestAssembleD2:
     def test_kovalevskaya_e2_vanishes(self):
         model = kovalevskaya_model()
-        morse = expand_morse(model)
-        d1 = assemble_d1(model, morse)
+        d1 = assemble_d1(model)
         p2 = page_two(d1)
         assert all(b.shape[1] == 0 for b in p2.bases.values())
-        d2 = assemble_d2(model, morse, p2)
+        d2 = assemble_d2(p2)
         assert all(mat.size == 0 for mat in d2.values())
 
     def test_no_level_jump_connections_zero(self):
@@ -328,10 +341,9 @@ class TestAssembleD2:
             CriticalBlock("n", "circle", 1.0, index=2, delta=1, holonomy=("g",)),
         )
         model = BottModel(rep, blocks, ())
-        morse = expand_morse(model)
-        d1 = assemble_d1(model, morse)
+        d1 = assemble_d1(model)
         p2 = page_two(d1)
-        d2 = assemble_d2(model, morse, p2)
+        d2 = assemble_d2(p2)
         for mat in d2.values():
             assert mat.size == 0 or np.abs(mat).max() < 1e-12
 
@@ -347,10 +359,9 @@ class TestAssembleD2:
         )
         conns = (GradientConnection(("T", "p"), ("c", "w"), (Orbit(1, ("g",)),)),)
         model = BottModel(rep, blocks, conns)
-        morse = expand_morse(model)
-        d1 = assemble_d1(model, morse)
+        d1 = assemble_d1(model)
         p2 = page_two(d1)
-        d2 = assemble_d2(model, morse, p2)
+        d2 = assemble_d2(p2)
         assert np.allclose(d2[0], u, atol=1e-10)
 
         res = filtered_pages(assemble_complex(model))
@@ -398,6 +409,22 @@ class TestTotalTorsion:
     def test_kovalevskaya_fast_unavailable(self):
         with pytest.raises(FastPathUnavailable):
             total_torsion(kovalevskaya_model(), mode="fast")
+
+    @pytest.mark.parametrize("mode", ["auto", "full", "fast"])
+    def test_rank_of_d_is_decided_once_at_the_given_tolerance(self, mode):
+        # D = diag(2, 1 - e^(1e-11 i)) is nonsingular at tol_rel = 1e-14 and
+        # singular at the default: the fast product keeps block_cohomology's
+        # decision instead of deciding the rank of D again
+        rep = Representation(2, {"g": np.diag([-1.0, np.exp(1e-11j)])})
+        block = CriticalBlock("m", "circle", 0.0, index=0, delta=1, holonomy=("g",))
+        model = BottModel(rep, (block,))
+        report = total_torsion(model, mode=mode, tol_rel=1e-14)
+        assert report.acyclic
+        assert report.total.modulus == pytest.approx(2e-11, rel=1e-8)
+        for value in (report.total.modulus, report.fast_total):
+            assert np.log(value) == pytest.approx(np.log(2e-11), abs=1e-8)
+        with pytest.raises(FastPathUnavailable, match=r"m \(singular D\)"):
+            total_torsion(model, mode="fast")
 
     def test_bad_mode(self):
         with pytest.raises(InvalidInput):
@@ -629,10 +656,10 @@ class TestComputedOnce:
         ]
 
     def test_nan_fails_auto_cross_check(self, monkeypatch):
-        from torsflow import TorsionError, bott
+        from torsflow import TorsionError
 
         model = random_circle_model(np.random.default_rng(5))
-        monkeypatch.setattr(bott, "det_modulus", lambda a: float("nan"))
+        monkeypatch.setattr(np.linalg, "slogdet", lambda a: (1.0, float("nan")))
         with pytest.raises(TorsionError, match="disagree"):
             total_torsion(model, mode="auto")
 

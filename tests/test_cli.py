@@ -189,3 +189,39 @@ def test_compute_out_of_memory_exits_2(capsys, monkeypatch):
     assert out == ""
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: out of memory in block cohomology")
+
+
+def _circle_document(path, generator):
+    """One minimum circle with holonomy g; generator is a list of rows of
+    complex numbers."""
+    doc = {
+        "representation": {
+            "dim": len(generator),
+            "generators": {"g": [[[z.real, z.imag] for z in row] for row in generator]},
+        },
+        "blocks": [{"id": "m", "kind": "circle", "index": 0, "delta": 1, "holonomy": ["g"]}],
+        "connections": [],
+    }
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_compute_text_prints_the_fast_product(tmp_path, capsys):
+    # rho(g) = -1, delta = +1: D = 2, and the fast path is legal
+    path = _circle_document(tmp_path / "circle.json", [[-1.0 + 0j]])
+    code, out, _ = run(capsys, ["compute", "--input", path, "--format", "text"])
+    assert code == 0
+    assert "fast path product: 2.00000000" in out.splitlines()
+    assert out.strip().splitlines()[-1] == "total torsion modulus: 2.00000000, acyclic: yes"
+
+
+def test_compute_near_singular_at_a_small_tolerance(tmp_path, capsys):
+    # D = diag(2, 1 - e^(1e-11 i)) is nonsingular at --tolerance 1e-14
+    path = _circle_document(tmp_path / "near.json", [[-1.0 + 0j, 0j], [0j, np.exp(1e-11j)]])
+    code, out, err = run(
+        capsys, ["compute", "--input", path, "--tolerance", "1e-14", "--mode", "full", "--format", "json"]
+    )
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["total"] == pytest.approx(2e-11, rel=1e-8)
+    assert doc["fast_total"] == pytest.approx(2e-11, rel=1e-8)

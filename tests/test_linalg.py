@@ -90,18 +90,24 @@ def test_non_finite_rejected():
 
 
 def test_bad_tolerance_rejected():
-    with pytest.raises(InvalidInput):
-        rank_nullspace(np.eye(2), 0.0)
-    with pytest.raises(InvalidInput):
-        rank_nullspace(np.eye(2), 2.0)
+    # both rank entry points share one cut, and with it this check
+    for entry in (rank_nullspace, range_basis):
+        with pytest.raises(InvalidInput):
+            entry(np.eye(2), 0.0)
+        with pytest.raises(InvalidInput):
+            entry(np.eye(2), 2.0)
 
 
 def test_ambiguous_rank_warns():
-    # second singular value sits right at the threshold scale
+    # second singular value sits right at the threshold scale; both rank
+    # entry points share one cut and warn at their own caller
     a = np.diag([1.0, 3e-10])
-    with pytest.warns(AmbiguousRankWarning):
+    with pytest.warns(AmbiguousRankWarning) as caught:
         res = rank_nullspace(a, 1e-10)
     assert res.ambiguous
+    with pytest.warns(AmbiguousRankWarning) as also:
+        range_basis(a, 1e-10)
+    assert [w.filename for w in [*caught, *also]] == [__file__, __file__]
 
 
 def test_scale_anchor_suppresses_noise_rank():
