@@ -222,8 +222,9 @@ class GradientConnection:
     def matrix(self, rep: Representation) -> np.ndarray:
         """Sum of sign * rho(word) over the orbits."""
         out = np.zeros((rep.dim, rep.dim), dtype=complex)
-        for orbit in self.orbits:
-            out = out + orbit.sign * rep.evaluate(orbit.word)
+        values = rep.evaluate_words(orbit.word for orbit in self.orbits)
+        for orbit, value in zip(self.orbits, values):
+            out = out + orbit.sign * value
         return out
 
 
@@ -505,8 +506,7 @@ def block_cohomology(
         )
 
     # torus / Klein bottle: the beta sign is + exactly for the Klein bottle
-    a = rep.evaluate(block.alpha)
-    b = rep.evaluate(block.beta)
+    a, b = rep.evaluate_words([block.alpha, block.beta])
     sign = 1.0 if block.kind == KLEIN else -1.0
     da = eye - a
     db = eye + sign * b

@@ -215,11 +215,12 @@ def complex_torsion(
     return _dims_and_torsion(c, cohomology_bases_by_degree, complements, tol_rel)[1]
 
 
-def _dims_and_torsion(c, supplied, complements, tol_rel) -> tuple[tuple[int, ...], TorsionScalar]:
-    """complex_torsion together with the cohomology dimension of each degree."""
+def _dims_and_torsion(c, supplied, complements, tol_rel, decided=None) -> tuple[tuple[int, ...], TorsionScalar]:
+    """complex_torsion together with the cohomology dimension of each degree;
+    `decided` is the complex's _harmonic_bases triple if the caller holds it."""
     supplied = supplied or {}
     complements = complements or {}
-    ranks, bounds, harmonic = _harmonic_bases(c, tol_rel, skip=supplied)
+    ranks, bounds, harmonic = decided or _harmonic_bases(c, tol_rel, skip=supplied)
 
     t_bases: list[np.ndarray] = []
     for i in range(len(c.dims)):
@@ -379,14 +380,14 @@ def ses_torsion(
                     f"degree {k}: bases are not volume compatible, |tau| = {vol.modulus:.6g}"
                 )
 
-    # one harmonic pass per complex: the cohomology bases, and the
-    # coboundary bases b[k] = im d^(k-1) that the class coordinates use
-    _, b_sub, h_sub = _harmonic_bases(sub, tol_rel)
-    _, b_tot, h_tot = _harmonic_bases(total, tol_rel)
-    _, b_quo, h_quo = _harmonic_bases(quot, tol_rel)
-    tau_sub = complex_torsion(sub, dict(enumerate(h_sub)), tol_rel=tol_rel)
-    tau_tot = complex_torsion(total, dict(enumerate(h_tot)), tol_rel=tol_rel)
-    tau_quo = complex_torsion(quot, dict(enumerate(h_quo)), tol_rel=tol_rel)
+    # one harmonic pass per complex gives its cohomology bases, the coboundary
+    # bases b[k] = im d^(k-1) that the class coordinates use, and its torsion
+    decided = [_harmonic_bases(c, tol_rel) for c in (sub, total, quot)]
+    (_, b_sub, h_sub), (_, b_tot, h_tot), (_, b_quo, h_quo) = decided
+    tau_sub, tau_tot, tau_quo = (
+        _dims_and_torsion(c, None, None, tol_rel, decided=d)[1]
+        for c, d in zip((sub, total, quot), decided)
+    )
 
     # Long exact sequence ... -> H^k(sub) -> H^k(total) -> H^k(quot) -> H^{k+1}(sub) -> ...
     # as a based complex with H^k(sub) sitting at degree 3k.

@@ -7,13 +7,10 @@ twisted coboundary block from an i-cell sigma to an (i+1)-cell tau is
     sum of incidence * rho(path)  over boundary terms of tau on sigma,
 
 and del o del = 0 is checked numerically for each representation. Each
-twisted_cochain call evaluates every distinct boundary path once, by
-extending its longest prefix already evaluated in that call with one
-generator product per new letter: the lens-space words t^0 .. t^(p-1)
-cost p - 1 products, not O(p^2). The left-to-right product order is that
-of Representation.evaluate, so the blocks are bit-identical to it.
-cw_torsion then decides each differential's rank once and takes the
-cohomology dimensions and harmonic bases from those decisions.
+twisted_cochain call evaluates all boundary paths in one
+Representation.evaluate_words walk. cw_torsion then decides each
+differential's rank once and takes the cohomology dimensions and harmonic
+bases from those decisions.
 
 The corpus (point, circle, torus, Klein bottle, lens spaces) gives every
 block type of the critical-block model an independently computable
@@ -118,24 +115,11 @@ def twisted_cochain(k_complex: CWComplex, rep: Representation, tol_rel: float = 
         dims.pop()
     pos = {c: i for k in range(4) for i, c in enumerate(k_complex.cells[k])}
     diffs = [np.zeros((dims[k + 1], dims[k]), dtype=complex) for k in range(len(dims) - 1)]
-    # rho(path) per distinct path, local to this call; a plain loop, so no
-    # reference cycle keeps the matrices alive past the return
-    values = {(): rep.identity()}
-    for cell, terms in k_complex.boundaries.items():
-        k = k_complex.dim_of[cell]
+    terms = [(cell, t) for cell, ts in k_complex.boundaries.items() for t in ts]
+    for (cell, t), value in zip(terms, rep.evaluate_words(t.path for _, t in terms)):
         rows = slice(pos[cell] * m, (pos[cell] + 1) * m)
-        for t in terms:
-            value = values.get(t.path)
-            if value is None:
-                n = len(t.path) - 1
-                while t.path[:n] not in values:
-                    n -= 1
-                value = values[t.path[:n]]
-                for j in range(n, len(t.path)):
-                    value = value @ rep.token_matrix(t.path[j])
-                    values[t.path[: j + 1]] = value
-            cols = slice(pos[t.face] * m, (pos[t.face] + 1) * m)
-            diffs[k - 1][rows, cols] += t.incidence * value
+        cols = slice(pos[t.face] * m, (pos[t.face] + 1) * m)
+        diffs[k_complex.dim_of[cell] - 1][rows, cols] += t.incidence * value
     # blocks are sums of unitaries: anchor rank decisions at the complex's
     # own scale so a boundary that cancels to rounding noise stays rank 0
     anchor = max([1.0] + [operator_norm(d) for d in diffs])

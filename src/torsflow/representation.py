@@ -81,9 +81,29 @@ class Representation:
 
     def evaluate(self, word: Word) -> np.ndarray:
         """Product of generator matrices along the word; identity for the empty word."""
-        out = self.identity()
-        for token in parse_word(word):
-            out = out @ self.token_matrix(token)
+        return self.evaluate_words([word])[0]
+
+    def evaluate_words(self, words: Iterable[Word]) -> list[np.ndarray]:
+        """rho of each word, in order, evaluating every distinct prefix once.
+
+        A word extends its longest prefix evaluated in this call by one
+        product per further letter (t^0 .. t^(p-1) cost p - 1 products), left
+        to right from the identity, so each value is bit-identical to its word
+        evaluated alone. The prefix table is local to the call, so no
+        reference cycle outlives it. Repeated words share one array.
+        """
+        values = {(): self.identity()}
+        out = []
+        for word in words:
+            path = parse_word(word)
+            n = len(path)
+            while path[:n] not in values:
+                n -= 1
+            value = values[path[:n]]
+            for j in range(n, len(path)):
+                value = value @ self.token_matrix(path[j])
+                values[path[: j + 1]] = value
+            out.append(value)
         return out
 
     def word_errors(self, word: Word) -> list[str]:

@@ -57,6 +57,43 @@ def kovalevskaya_replica(k, m):
     return BottModel(rep, tuple(tiers[0] + tiers[1] + tiers[2]), tuple(connections))
 
 
+def word_fold(rep, word):
+    """Reference rho(word): a plain left-to-right fold of the generator
+    matrices, independent of Representation's prefix walk."""
+    out = rep.identity()
+    for token in word:
+        out = out @ rep.token_matrix(token)
+    return out
+
+
+def lens_bott_model(p, q, rep):
+    """Smallest Bott model with isoenergy surface the lens space L(p, q).
+
+    A minimum circle m (index 0, delta = +1, holonomy t) and a maximum
+    circle n (index 2, delta = +1, holonomy t^r) with r = q^-1 mod p, the
+    exponent of lens_space's del_3 = t^(q*) - 1, joined by one connection
+    n.w -> m.z with p orbits of sign +1 and words t^0 .. t^(p-1). rep must
+    send t to a matrix whose p-th power is the identity.
+    """
+    from torsflow import GradientConnection, Orbit
+
+    r = pow(q % p, -1, p)
+    blocks = (
+        CriticalBlock("m", "circle", 0.0, index=0, delta=+1, holonomy=("t",)),
+        CriticalBlock("n", "circle", 1.0, index=2, delta=+1, holonomy=("t",) * r),
+    )
+    orbits = tuple(Orbit(+1, ("t",) * k) for k in range(p))
+    return BottModel(rep, blocks, (GradientConnection(("n", "w"), ("m", "z"), orbits),))
+
+
+def lens_rep(rng, p, m, ones=0):
+    """rho(t) = V diag(zeta^a_j) V^H with `ones` exponents a_j = 0."""
+    a = np.concatenate([np.zeros(ones, dtype=int), rng.integers(1, p, size=m - ones)])
+    v = rand_unitary(rng, m)
+    t = v @ np.diag(np.exp(2j * np.pi * a / p)) @ v.conj().T
+    return Representation(m, {"t": t}), a
+
+
 def rand_unitary(rng, m):
     """Haar-ish random unitary via QR with phase correction."""
     z = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))

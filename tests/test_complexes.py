@@ -270,15 +270,15 @@ class TestSesTorsion:
         from torsflow import TorsionError, TorsionScalar, complexes
 
         ses = random_ses(np.random.default_rng(25), [1, 2, 1], [2, 1, 1])
-        original = complexes.complex_torsion
+        original = complexes._dims_and_torsion
 
-        def nan_with_bases(c, bases=None, *args, **kwargs):
-            # the volume checks pass no cohomology bases; the three
-            # complexes of the sequence do
-            tau = original(c, bases, *args, **kwargs)
-            return TorsionScalar(float("nan")) if bases else tau
+        def nan_with_decisions(*args, decided=None, **kwargs):
+            # the three complexes of the sequence pass their rank decisions
+            # in; the volume checks and the long exact sequence do not
+            dims, tau = original(*args, decided=decided, **kwargs)
+            return dims, TorsionScalar(float("nan")) if decided else tau
 
-        monkeypatch.setattr(complexes, "complex_torsion", nan_with_bases)
+        monkeypatch.setattr(complexes, "_dims_and_torsion", nan_with_decisions)
         with pytest.raises(TorsionError, match="additivity violated"):
             ses_torsion(*ses)
 

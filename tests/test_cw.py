@@ -20,7 +20,7 @@ from torsflow import (
     twisted_cochain,
 )
 from torsflow.documents import parse_cw
-from helpers import assert_same_span, rand_unitary, stacked_kernel
+from helpers import assert_same_span, lens_rep, rand_unitary, stacked_kernel, word_fold
 
 
 def char_rep(z):
@@ -196,7 +196,7 @@ def test_document_round_trip():
 
 
 def word_cochain(k, rep):
-    """Reference cochain: every block from rep.evaluate of its whole path."""
+    """Reference cochain: every block from a fold over its whole path."""
     m = rep.dim
     pos = {c: i for d in range(4) for i, c in enumerate(k.cells[d])}
     dims = [m * len(k.cells[d]) for d in range(4)]
@@ -205,16 +205,8 @@ def word_cochain(k, rep):
         rows = slice(pos[cell] * m, (pos[cell] + 1) * m)
         for t in terms:
             cols = slice(pos[t.face] * m, (pos[t.face] + 1) * m)
-            diffs[k.dim_of[cell] - 1][rows, cols] += t.incidence * rep.evaluate(t.path)
+            diffs[k.dim_of[cell] - 1][rows, cols] += t.incidence * word_fold(rep, t.path)
     return diffs
-
-
-def lens_rep(rng, p, m, ones=0):
-    """rho(t) = V diag(zeta^a_j) V^H with `ones` exponents a_j = 0."""
-    a = np.concatenate([np.zeros(ones, dtype=int), rng.integers(1, p, size=m - ones)])
-    v = rand_unitary(rng, m)
-    t = v @ np.diag(np.exp(2j * np.pi * a / p)) @ v.conj().T
-    return Representation(m, {"t": t}), a
 
 
 def surface_reps(rng):

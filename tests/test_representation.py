@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from torsflow import InvalidInput, Representation, trivial_representation
-from helpers import rand_unitary
+from helpers import rand_unitary, word_fold
 
 
 def test_identity_on_empty_word():
@@ -57,3 +57,30 @@ def test_conjugated():
 def test_trivial_representation():
     rep = trivial_representation(["t", "s"], dim=2)
     assert np.allclose(rep.evaluate(["t", "s^-1"]), np.eye(2))
+
+
+def test_evaluate_words_matches_a_plain_fold(monkeypatch):
+    # repeated words, words listed before their prefixes, the empty word and
+    # inverse tokens: each value is array_equal to its word folded alone, and
+    # each distinct nonempty prefix costs one generator product
+    rng = np.random.default_rng(7)
+    rep = Representation(3, {"a": rand_unitary(rng, 3), "b": rand_unitary(rng, 3)})
+    words = [
+        ("a", "b", "a^-1", "b"), ("a",), (), ("a", "b"), ("a", "b", "a^-1", "b"),
+        ("b^-1", "a^-1"), ("b^-1",), (), ("a", "b", "a^-1"), ("a", "a^-1"), "b^-1 a b",
+    ]
+    tokens = [tuple(w.split()) if isinstance(w, str) else w for w in words]
+    want = [word_fold(rep, w) for w in tokens]
+    calls = []
+    original = Representation.token_matrix
+
+    def counted(self, token):
+        calls.append(token)
+        return original(self, token)
+
+    monkeypatch.setattr(Representation, "token_matrix", counted)
+    got = rep.evaluate_words(words)
+    assert len(got) == len(words)
+    for value, expect in zip(got, want):
+        assert np.array_equal(value, expect)
+    assert len(calls) == len({w[:n] for w in tokens for n in range(1, len(w) + 1)})
