@@ -6,7 +6,9 @@
                      [--rep representation.json] [--format text|json]
 
 Reports go to standard output, diagnostics to standard error. Exit codes:
-0 success, 2 validation error, 3 unreadable or malformed input. The
+0 success, 2 validation error, 3 unreadable or malformed input, 141
+standard output closed before the report was written (as for a writer
+ended by SIGPIPE). The
 environment variable TORSFLOW_TOLERANCE overrides the default tolerance;
 the --tolerance flag wins over both.
 """
@@ -26,6 +28,7 @@ from .linalg import DEFAULT_TOL
 from .representation import trivial_representation
 
 TOLERANCE_ENV = "TORSFLOW_TOLERANCE"
+BROKEN_PIPE_EXIT = 141
 
 
 def _resolve_tolerance(flag_value) -> float:
@@ -205,7 +208,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader has gone: what is still buffered goes to the null
+        # device, so the interpreter's flush at exit has nothing to report
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return BROKEN_PIPE_EXIT
     except ParseError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3

@@ -26,7 +26,7 @@ import numpy as np
 from .complexes import BasedComplex, TorsionScalar, _dims_and_torsion
 from .errors import InvalidCW, InvalidInput, NotAComplex
 from .linalg import DEFAULT_TOL, operator_norm
-from .representation import Representation, parse_word
+from .representation import Representation, parse_word, split_token
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ class CWComplex:
         for terms in self.boundaries.values():
             for t in terms:
                 for token in t.path:
-                    name = token[:-3] if token.endswith("^-1") else token
+                    name, _ = split_token(token)
                     if name not in names:
                         names.append(name)
         return names
@@ -103,7 +103,7 @@ class CWComplex:
         }
 
 
-def twisted_cochain(k_complex: CWComplex, rep: Representation, tol_rel: float = DEFAULT_TOL) -> BasedComplex:
+def twisted_cochain(k_complex: CWComplex, rep: Representation) -> BasedComplex:
     """Cochain complex with local coefficients: one C^m fiber per cell.
 
     Raises InvalidCW when the twisted coboundary fails del o del = 0, which
@@ -140,7 +140,7 @@ def cw_torsion(
     (ker d^i cut against im d^(i-1)) and the torsion, as complex_torsion
     computes it.
     """
-    return _dims_and_torsion(twisted_cochain(k_complex, rep, tol_rel), None, None, tol_rel)
+    return _dims_and_torsion(twisted_cochain(k_complex, rep), None, None, tol_rel)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,13 @@ def parse_word(word: Word) -> tuple[str, ...]:
     return tokens
 
 
+def split_token(token: str) -> tuple[str, bool]:
+    """A word token as (generator name, whether it names the inverse)."""
+    if token.endswith("^-1"):
+        return token[:-3], True
+    return token, False
+
+
 def unitary_defect(u: np.ndarray) -> float:
     """Max-norm of u^H u - I."""
     n = u.shape[0]
@@ -70,10 +77,7 @@ class Representation:
         return np.eye(self.dim, dtype=complex)
 
     def token_matrix(self, token: str) -> np.ndarray:
-        if token.endswith("^-1"):
-            name, invert = token[:-3], True
-        else:
-            name, invert = token, False
+        name, invert = split_token(token)
         if name not in self.generators:
             raise InvalidInput(f"unknown generator {name!r}")
         mat = self.generators[name]
@@ -110,7 +114,7 @@ class Representation:
         """Unknown-generator messages for a word, without raising."""
         bad = []
         for token in parse_word(word):
-            name = token[:-3] if token.endswith("^-1") else token
+            name, _ = split_token(token)
             if name not in self.generators:
                 bad.append(f"unknown generator {name!r}")
         return bad

@@ -17,23 +17,28 @@ realised concretely as orthonormal column bases of subquotient
 representatives inside the ambient degree spaces: representatives are the
 vectors of the numerator orthogonal to the denominator. Each subspace is
 one rank decision on one operator at its own scale: Z_r(n, k) is the
-kernel of d restricted to F_n and the rows outside F_{n+r}, d Z_{r-1} is
-cut alone, and both orthonormal pieces meet Z_r in _within. The differential
-d_r maps E_r(n, q) to E_r(n+r, q-r+1) and is obtained by conjugating the
-ambient differential with those representative bases.
+kernel of d restricted to F_n and the rows of F_n outside F_{n+r}, d Z_{r-1}
+is cut alone, and both orthonormal pieces meet Z_r in _within, once per
+distinct subspace and per distinct cut. d-stability answers the rest
+without a rank decision: Z(n, t) = F_n for t <= n, so E_0 is the
+coordinate grading (the basis vectors of level exactly n). The
+differential d_r maps E_r(n, q) to E_r(n+r, q-r+1) and is obtained by
+conjugating the ambient differential with those representative bases.
 
 Each page, graded by total degree n+q, is itself a based complex: the
 direct sum of its d_r blocks. Torsion is multiplicative over direct sums
 (Milnor 1966), so one page step decomposes each block once and reads the
-page torsion off those rank decisions. Relative to next-page bases H that
-are orthonormal, inside ker d_r and orthogonal to im d_r, the block out of
-slot (n, q) contributes (-1)^(n+q) log of its kept singular values. The
-ladder's next-page representatives, written in page-r coordinates C, are
-not orthonormal there; each slot adds (-1)^(n+q+1) log|det(H^H C)| for
-them. The product over all pages reproduces the torsion of the base
-complex relative to the cohomology basis induced by the last page.
-filtered_pages verifies that identity to 1e-8 relative on every call,
-against a direct complex_torsion of the base complex.
+page torsion off those rank decisions; a slot with an incoming block and
+no outgoing one takes that block's cokernel basis as its next page.
+Relative to next-page bases H that are orthonormal, inside ker d_r and
+orthogonal to im d_r, the block out of slot (n, q) contributes
+(-1)^(n+q) log of its kept singular values. The ladder's next-page
+representatives, written in page-r coordinates C, are not orthonormal
+there; each slot adds (-1)^(n+q+1) log|det(H^H C)| for them. The product
+over all pages reproduces the torsion of the base complex relative to the
+cohomology basis induced by the last page. filtered_pages verifies that
+identity to 1e-8 relative on every call, against a direct complex_torsion
+of the base complex.
 """
 from __future__ import annotations
 
@@ -172,17 +177,33 @@ def _zspace(
 ) -> np.ndarray:
     """Orthonormal basis of {x in F_member^k : dx in F_target^{k+1}}.
 
-    member below 0 means F_0 (everything); target below 1 imposes nothing,
-    target at or above the level count forces dx = 0. It is the kernel of
-    d restricted to the member columns and the rows below the target, at
-    the ambient operator scale `anchor` the block was cut out of, so rows
-    that vanish in exact arithmetic stay rank zero.
+    member below 0 means F_0 (everything); target at or below member
+    imposes nothing, target at or above the level count forces dx = 0. It
+    is the kernel of d restricted to the member columns and the rows of
+    level in [member, target), at the ambient operator scale `anchor` the
+    block was cut out of, so rows that vanish in exact arithmetic stay rank
+    zero. Rows below member are left out because d maps F_member into
+    itself; so for target at or below member the answer is F_member's
+    coordinate columns, and no rank decision is made.
+
+    The rows left out hold only level-lowering entries, which
+    FilteredComplex admits up to 1e-12 * max(1, max|d|). A block of them has
+    norm at most max(shape) * 1e-12 * max(1, anchor), below the cut for
+    every tol_rel >= 1e-12, so where they are all the rows leaving them out
+    is exact; elsewhere they can only move a singular value that already
+    sits within that norm of the cut. Below that tolerance a cut could keep
+    rank from entries the stability check declared zero; here they are
+    zero at every tolerance.
     """
     dim = fc.base.dim(k)
     if member >= fc.num_levels or k < 0 or k >= len(fc.base.dims):
         return np.zeros((dim, 0), dtype=complex)
     cols = fc.levels[k] >= member
-    rows = fc.levels[k + 1] < min(target, fc.num_levels) if k + 1 < len(fc.base.dims) else []
+    if k + 1 < len(fc.base.dims):
+        row_levels = fc.levels[k + 1]
+        rows = (row_levels >= member) & (row_levels < min(target, fc.num_levels))
+    else:
+        rows = []
     if not np.any(rows):
         kernel = np.eye(int(cols.sum()), dtype=complex)
     else:
@@ -191,6 +212,68 @@ def _zspace(
     z = np.zeros((dim, kernel.shape[1]), dtype=complex)
     z[cols] = kernel
     return z
+
+
+def _slots(fc: FilteredComplex):
+    """Every (level, degree) pair, degree-major."""
+    for k in range(len(fc.base.dims)):
+        for n in range(fc.num_levels):
+            yield n, k
+
+
+class _Ladder:
+    """The cocycle ladder of one filtered_pages call.
+
+    Each subspace Z(member, target, k), each image d Z and each
+    representative cut is decided once per distinct clamped key and kept
+    in one plain dict. Nothing in it refers back to the ladder, so it dies
+    with the call rather than with the cyclic collector. Past r = L every
+    key repeats page L's.
+    """
+
+    def __init__(self, fc: FilteredComplex, tol_rel: float, anchor: float):
+        self.fc, self.tol_rel, self.anchor = fc, tol_rel, anchor
+        self.cache: dict = {}
+
+    def key(self, member: int, target: int, k: int) -> tuple:
+        return (max(member, 0), min(max(target, 0), self.fc.num_levels), k)
+
+    def zspace(self, key: tuple, image: bool = False) -> np.ndarray:
+        """Z at a clamped key, or with `image` a basis of d Z."""
+        cache = self.cache
+        if key not in cache:
+            cache[key] = _zspace(self.fc, *key, self.tol_rel, self.anchor)
+        if not image:
+            return cache[key]
+        if (key, "image") not in cache:
+            d = self.fc.base.diff(key[2])
+            cache[(key, "image")] = range_basis(d @ cache[key], self.tol_rel, scale=max(1.0, self.anchor))
+        return cache[(key, "image")]
+
+    def page(self, r: int) -> dict:
+        """Representatives of E_r(n, k - n), keyed (n, k): the vectors of
+        Z_r(n, k) orthogonal to Z_{r-1}(n+1, k) + d Z_{r-1}(n-r+1, k-1).
+        E_0 is the coordinate grading, the basis vectors of level exactly n
+        (d F_{n+1} lies in F_{n+1}), so page 0 makes no rank decision."""
+        fc, cache = self.fc, self.cache
+        if r == 0:
+            return {(n, k): np.eye(fc.base.dim(k), dtype=complex)[:, fc.levels[k] == n] for n, k in _slots(fc)}
+        reps = {}
+        for n, k in _slots(fc):
+            zkey = self.key(n, n + r, k)
+            z = self.zspace(zkey)
+            if z.shape[1] == 0:
+                reps[(n, k)] = z
+                continue
+            cut = (zkey, self.key(n + 1, n + r, k), self.key(n - r + 1, n, k - 1) if k >= 1 else None)
+            if cut not in cache:
+                # the denominator's two pieces, each orthonormal at its own scale
+                denom = [self.zspace(cut[1])]
+                if cut[2] is not None:
+                    denom.append(self.zspace(cut[2], image=True))
+                cache[cut] = _within(z, np.concatenate(denom, axis=1), self.tol_rel)
+            reps[(n, k)] = cache[cut]
+        return reps
 
 
 def filtered_pages(fc: FilteredComplex, tol_rel: float = DEFAULT_TOL) -> SpectralResult:
@@ -208,45 +291,15 @@ def filtered_pages(fc: FilteredComplex, tol_rel: float = DEFAULT_TOL) -> Spectra
     # the scale the complex carries (an ambient norm it was conjugated out of)
     anchor = max(base.rank_scale, base.operator_scale())
 
-    def key_range():
-        for k in degrees:
-            for n in range(L):
-                yield n, k
-
-    cache: dict = {}
-
-    def zspace(member, target, k, image=False):
-        """Z(member, target, k), or with `image` a basis of d Z, once per key.
-        Not recursive: a closure that calls itself is a reference cycle,
-        which would keep the cache alive past the call."""
-        key = (max(member, 0), min(max(target, 0), L), k)
-        if key not in cache:
-            cache[key] = _zspace(fc, *key, tol_rel, anchor)
-        if image and (key, image) not in cache:
-            cache[(key, image)] = range_basis(base.diff(k) @ cache[key], tol_rel, scale=max(1.0, anchor))
-        return cache[(key, image)] if image else cache[key]
-
-    reps: list[dict] = []
-    for r in range(L + 2):
-        page_reps = {}
-        for n, k in key_range():
-            z = zspace(n, n + r, k)
-            if z.shape[1] == 0:
-                page_reps[(n, k)] = z
-                continue
-            # the denominator's two pieces, each orthonormal at its own scale
-            denom = [zspace(n + 1, n + r, k)]
-            if k >= 1:
-                denom.append(zspace(n - r + 1, n, k - 1, image=True))
-            page_reps[(n, k)] = _within(z, np.concatenate(denom, axis=1), tol_rel)
-        reps.append(page_reps)
+    ladder = _Ladder(fc, tol_rel, anchor)
+    reps = [ladder.page(r) for r in range(L + 2)]
 
     pages: list[Page] = []
     page_logs = []
     for r in range(L + 1):
         spaces = {}
         diffs = {}
-        for n, k in key_range():
+        for n, k in _slots(fc):
             src = reps[r][(n, k)]
             spaces[(n, k - n)] = src
             tgt = reps[r].get((n + r, k + 1))
@@ -259,7 +312,7 @@ def filtered_pages(fc: FilteredComplex, tol_rel: float = DEFAULT_TOL) -> Spectra
         # step's orthonormal basis H: a slot in total degree k adds
         # (-1)^(k+1) log|det(H^H C)|
         terms = [log_tau]
-        for n, k in key_range():
+        for n, k in _slots(fc):
             h = step[(n, k - n)]
             coords = reps[r][(n, k)].conj().T @ reps[r + 1][(n, k)]
             if h.shape[1] != coords.shape[1]:
@@ -273,7 +326,7 @@ def filtered_pages(fc: FilteredComplex, tol_rel: float = DEFAULT_TOL) -> Spectra
     product = modulus_from_log(math.fsum(page_logs), "page torsion product")
 
     limit = reps[L]
-    infinity_dims = {(n, k - n): limit[(n, k)].shape[1] for n, k in key_range()}
+    infinity_dims = {(n, k - n): limit[(n, k)].shape[1] for n, k in _slots(fc)}
 
     # at least one level, so every degree has slots to concatenate
     h_bases = {k: np.concatenate([limit[(n, k)] for n in range(L)], axis=1) for k in degrees}
@@ -302,9 +355,11 @@ def _page_step(dims: dict, diffs: dict, r: int, tol_rel: float, anchor: float):
     matrix of d_r from it to (level + r, q - r + 1). Per slot the next page
     is an orthonormal basis of ker(d_r out of the slot) meet (im d_r into
     it)^perp, in the slot's coordinates. Each block is decomposed once: its
-    rank decision gives the kernel in its source slot, the range in its
-    target slot and, relative to these bases, its term (-1)^(level + q)
-    log_kept of the log-torsion.
+    rank decision gives the kernel in its source slot, the range and its
+    complement in its target slot and, relative to these bases, its term
+    (-1)^(level + q) log_kept of the log-torsion. A slot with an incoming
+    map and no outgoing one takes the incoming decision's cokernel basis,
+    (im d_r)^perp, as it stands; only a slot with both maps is cut again.
     """
     ranks = {key: rank_nullspace(mat, tol_rel, scale=anchor) for key, mat in diffs.items() if mat.size}
     bases = {}
@@ -314,10 +369,13 @@ def _page_step(dims: dict, diffs: dict, r: int, tol_rel: float, anchor: float):
             continue
         out = ranks.get((level, q))
         into = ranks.get((level - r, q + r - 1))
-        span = out.kernel_basis if out is not None else np.eye(dim, dtype=complex)
-        if into is not None:
-            span = _within(span, into.range_basis, tol_rel)
-            if span.shape[1] != dim - into.rank - (out.rank if out is not None else 0):
+        if out is None:
+            span = into.cokernel_basis if into is not None else np.eye(dim, dtype=complex)
+        elif into is None:
+            span = out.kernel_basis
+        else:
+            span = _within(out.kernel_basis, into.range_basis, tol_rel)
+            if span.shape[1] != dim - into.rank - out.rank:
                 raise TorsionError(f"page {r}, slot {(level, q)}: im d_{r} not inside ker d_{r}")
         bases[(level, q)] = span
     log_tau = math.fsum((-1) ** (level + q) * res.log_kept for (level, q), res in ranks.items())

@@ -1,10 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from torsflow.cli import main
+from torsflow.cli import BROKEN_PIPE_EXIT, main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 KOVALEVSKAYA = os.path.join(DATA, "kovalevskaya.json")
@@ -225,3 +227,21 @@ def test_compute_near_singular_at_a_small_tolerance(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["total"] == pytest.approx(2e-11, rel=1e-8)
     assert doc["fast_total"] == pytest.approx(2e-11, rel=1e-8)
+
+
+def test_closed_stdout_exits_quietly():
+    # the reader closes its end before the report is written
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "torsflow", "compute", "--input", KOVALEVSKAYA, "--format", "json"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert b"Traceback" not in proc.stderr
+    assert proc.stderr == b""
+    assert proc.returncode == BROKEN_PIPE_EXIT

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from torsflow import InvalidInput, Representation, trivial_representation
+from torsflow import CWComplex, InvalidInput, Representation, trivial_representation
 from helpers import rand_unitary, word_fold
 
 
@@ -37,6 +37,21 @@ def test_unknown_generator():
         rep.evaluate(["b"])
     assert rep.word_errors(["b", "a"]) != []
     assert rep.word_errors(["a"]) == []
+
+
+def test_inverse_suffix_parses_alike_everywhere():
+    # token matrices, word errors and CW generator names read "a^-1" as
+    # the generator "a", inverted
+    rng = np.random.default_rng(7)
+    u = rand_unitary(rng, 2)
+    rep = Representation(2, {"a": u})
+    assert np.array_equal(rep.token_matrix("a"), u)
+    assert np.array_equal(rep.token_matrix("a^-1"), u.conj().T)
+    assert rep.word_errors(["a^-1"]) == rep.word_errors(["a"]) == []
+    assert rep.word_errors(["b^-1"]) == rep.word_errors(["b"]) == ["unknown generator 'b'"]
+    for token in ("a", "a^-1"):
+        cw = CWComplex({0: ["v"], 1: ["e"]}, {"e": [("v", 1, (token,)), ("v", -1, ())]})
+        assert cw.generator_names() == ["a"]
 
 
 def test_bad_generator_names():

@@ -16,9 +16,12 @@ from torsflow import (
     complex_torsion,
     filtered_pages,
 )
-from torsflow.spectral import _zspace
+from torsflow.complexes import _within
+from torsflow.linalg import rank_nullspace
+from torsflow.spectral import _Ladder, _page_step, _zspace
 from helpers import (
     assert_same_span,
+    rand_complex_matrix,
     kovalevskaya_model,
     random_acyclic_filtered_complex,
     random_filtered_complex,
@@ -216,10 +219,13 @@ def test_zspace_matches_the_stacked_membership_kernel():
 
 def test_svd_count_on_the_morse_complex(monkeypatch):
     # trivial-representation Kovalevskaya Morse complex, three levels:
-    # 10 restricted kernels Z, 16 image ranges d Z (one per clamped key),
-    # 25 ladder intersections, 8 page-step block decisions and 1
-    # intersection, and in the direct check 3 differentials and 4
-    # independence checks of the supplied limit bases
+    # 10 restricted kernels Z, 13 image ranges d Z (one per clamped key),
+    # 13 ladder intersections (one per distinct key triple; E_0 is the
+    # coordinate grading and page L + 1 repeats page L, so neither cuts),
+    # 8 page-step block decisions and no page-step intersection (a slot
+    # with only an incoming d_r takes that block's cokernel), and in the
+    # direct check 3 differentials and 4 independence checks of the
+    # supplied limit bases
     fc = assemble_complex(kovalevskaya_model(Representation(1, {"g": [[1.0]]})))
     calls = []
     original = np.linalg.svd
@@ -231,7 +237,81 @@ def test_svd_count_on_the_morse_complex(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counted)
     res = filtered_pages(fc)
     assert res.total.modulus == pytest.approx(0.2, rel=1e-12)
-    assert len(calls) == 67
+    assert len(calls) == 51
+
+
+@pytest.mark.parametrize("rank", [0, 2, 3])
+def test_incoming_only_slot_takes_the_cokernel(rank):
+    # slot (1, 0) has an incoming d_1 of the given rank and an empty
+    # outgoing one: its next-page basis spans (im d_1)^perp, as the cut of
+    # the whole slot against the range would
+    rng = np.random.default_rng(40 + rank)
+    mat = rand_complex_matrix(rng, 5, rank) @ rand_complex_matrix(rng, rank, 3)
+    dims = {(0, 0): 3, (1, 0): 5}
+    diffs = {(0, 0): mat, (1, 0): np.zeros((0, 5), dtype=complex)}
+    bases, _ = _page_step(dims, diffs, 1, 1e-10, 1.0)
+    got = bases[(1, 0)]
+    want = _within(np.eye(5, dtype=complex), rank_nullspace(mat, 1e-10, scale=1.0).range_basis, 1e-10)
+    assert got.shape[1] == 5 - rank
+    assert np.allclose(got.conj().T @ got, np.eye(5 - rank), atol=1e-12)
+    assert np.abs(got @ got.conj().T - want @ want.conj().T).max() < 1e-12
+
+
+def test_page_zero_is_the_coordinate_grading():
+    rng = np.random.default_rng(41)
+    for fc in [random_filtered_complex(rng) for _ in range(5)]:
+        res = filtered_pages(fc)
+        for k in range(len(fc.base.dims)):
+            for n in range(fc.num_levels):
+                want = np.eye(fc.base.dim(k), dtype=complex)[:, fc.levels[k] == n]
+                assert np.array_equal(res.pages[0].spaces[(n, k - n)], want)
+
+
+def _graded_acyclic_complex(rng, noise):
+    """Two-term complex on three levels, each level an invertible block,
+    random level-raising coupling, and every level-lowering entry set to
+    `noise` times the stability bound 1e-12 * max(1, max|d|)."""
+    levels = np.repeat(np.arange(3), [2, 3, 2])
+    lower = levels[:, None] < levels[None, :]
+    d = np.where(lower, 0, rand_complex_matrix(rng, 7, 7))
+    scale = max(1.0, float(np.abs(d).max()))
+    phases = np.exp(2j * np.pi * rng.random((7, 7)))
+    d = np.where(lower, noise * 1e-12 * scale * phases, d)
+    return FilteredComplex(BasedComplex([7, 7], [d]), [levels, levels], 3)
+
+
+@pytest.mark.parametrize("tol_rel", [1e-10, 1e-14])
+def test_level_lowering_noise_under_the_stability_bound_is_zero(tol_rel):
+    # the stability check admits level-lowering entries up to 1e-12 of the
+    # scale; with every level block invertible the pages treat them as the
+    # zeros it declared them, also at a tolerance below 1e-12
+    for seed in range(4):
+        noisy = _graded_acyclic_complex(np.random.default_rng(seed), 0.9)
+        zeroed = _graded_acyclic_complex(np.random.default_rng(seed), 0.0)
+        got, want = filtered_pages(noisy, tol_rel), filtered_pages(zeroed, tol_rel)
+        assert [p.dims() for p in got.pages] == [p.dims() for p in want.pages]
+        assert got.total.modulus == pytest.approx(want.total.modulus, rel=1e-12)
+
+
+def test_ladder_page_past_the_last_level_costs_no_svd(monkeypatch):
+    # every clamped key of page L + 1 is one of page L's
+    fc = random_filtered_complex(np.random.default_rng(38), num_levels=3)
+    ladder = _Ladder(fc, 1e-10, max(fc.base.rank_scale, fc.base.operator_scale()))
+    for r in range(fc.num_levels):
+        ladder.page(r)
+    last = ladder.page(fc.num_levels)
+    calls = []
+    original = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    beyond = ladder.page(fc.num_levels + 1)
+    assert calls == []
+    assert beyond.keys() == last.keys()
+    assert all(beyond[key] is last[key] for key in last)
 
 
 def test_filtered_pages_leaves_no_reference_cycles():
