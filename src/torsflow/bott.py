@@ -77,7 +77,7 @@ from .errors import (
     NotAComplex,
     TorsionError,
 )
-from .linalg import DEFAULT_TOL, RankResult, block_operator_norm, rank_nullspace
+from .linalg import DEFAULT_TOL, RankResult, _rank_nullspaces, block_operator_norm
 from .representation import Representation, parse_word
 from .spectral import FilteredComplex, _page_note, _page_step
 
@@ -467,59 +467,102 @@ def block_cohomology(
     tol_rel: float = DEFAULT_TOL,
 ) -> BlockCohomology:
     """Cohomology and torsion factor of one critical block, in the degrees
-    around its middle degree n = block.middle_degree."""
-    n = block.middle_degree
-    warn: list[str] = []
-    eye = rep.identity()
+    around its middle degree n = block.middle_degree: the batched
+    _block_cohomologies of the one block."""
+    return _block_cohomologies([block], rep, tol_rel)[0]
 
-    if block.kind == CIRCLE:
-        d = eye - block.delta * rep.evaluate(block.holonomy)
+
+def _block_cohomologies(
+    blocks: Sequence[CriticalBlock],
+    rep: Representation,
+    tol_rel: float = DEFAULT_TOL,
+) -> list[BlockCohomology]:
+    """block_cohomology of every block, in order, with the first page
+    decided as stacks: every block word (circle holonomies, then alpha and
+    beta of each torus / Klein bottle) is evaluated in one walk, every
+    circle's D is decided in one LAPACK call, and the extremal blocks' D
+    and D* in one call each. Each decision keeps the threshold it would
+    have alone (linalg._rank_nullspaces); only the middle cut of an
+    extremal block, ker D* against im D, is made block by block."""
+    circles = [j for j, b in enumerate(blocks) if b.kind == CIRCLE]
+    extremals = [j for j, b in enumerate(blocks) if b.kind != CIRCLE]
+    words = [blocks[j].holonomy for j in circles]
+    for j in extremals:
+        words += [blocks[j].alpha, blocks[j].beta]
+    values = rep.evaluate_words(words)
+    eye = rep.identity()
+    out: list = [None] * len(blocks)
+
+    if circles:
+        deltas = np.array([blocks[j].delta for j in circles])
+        ds = eye - deltas[:, None, None] * np.array(values[: len(circles)])
         # unit-scale anchor: D is built from unitaries, so a holonomy that
         # reduces to the identity must give an honest zero matrix
-        res = rank_nullspace(d, tol_rel, scale=1.0)
-        ker = res.kernel_basis
-        coker = res.cokernel_basis
-        k = ker.shape[1]
-        if k and np.abs(d @ ker).max() > STRUCT_TOL * max(1.0, float(np.abs(d).max())):
-            raise BasisMismatch(f"block {block.id}: kernel basis does not lie in ker D")
-        dims = {n: k, n + 1: k} if k else {}
-        bases = {n: ker, n + 1: coker}
-        # on the SVD's own kernel and cokernel bases the two-term complex
-        # 0 -> C^m -D-> C^m -> 0 has torsion prod of the kept singular values
-        factor = TorsionScalar(
-            modulus_from_log((-1) ** n * res.log_kept, f"block {block.id} torsion factor"),
-            ACYCLIC_NOTE if k == 0 else RELATIVE_NOTE,
-        )
-        return BlockCohomology(
-            block_id=block.id,
-            kind=block.kind,
-            level=block.level,
-            middle=n,
-            D=d,
-            D_star=None,
-            dims=dims,
-            bases=bases,
-            torsion_factor=factor,
-            acyclic=(k == 0),
-            warnings=warn,
-            rank_result=res,
-        )
+        for j, d, res in zip(circles, ds, _rank_nullspaces(ds, tol_rel, scale=1.0)):
+            out[j] = _circle_cohomology(blocks[j], d, res)
 
-    # torus / Klein bottle: the beta sign is + exactly for the Klein bottle
-    a, b = rep.evaluate_words([block.alpha, block.beta])
-    sign = 1.0 if block.kind == KLEIN else -1.0
-    da = eye - a
-    db = eye + sign * b
-    comm = float(np.abs(a @ b - b @ a).max())
+    if extremals:
+        a = np.array(values[len(circles) :: 2])
+        b = np.array(values[len(circles) + 1 :: 2])
+        # the beta sign is + exactly for the Klein bottle
+        signs = np.array([1.0 if blocks[j].kind == KLEIN else -1.0 for j in extremals])
+        db = eye + signs[:, None, None] * b
+        ds = np.concatenate([eye - a, db], axis=1)         # C^m p -> C^m q (+) C^m r
+        d_stars = np.concatenate([db, a - eye], axis=2)    # C^m q (+) C^m r -> C^m s
+        comms = np.abs(a @ b - b @ a).max(axis=(1, 2)).tolist()
+        # one rank decision each: ker D, coker D*, and ker D* cut against im D
+        decided = zip(
+            _rank_nullspaces(ds, tol_rel, scale=1.0), _rank_nullspaces(d_stars, tol_rel, scale=1.0)
+        )
+        for j, d, d_star, comm, (res, res_star) in zip(extremals, ds, d_stars, comms, decided):
+            out[j] = _extremal_cohomology(blocks[j], d, d_star, comm, res, res_star, tol_rel)
+    return out
+
+
+def _circle_cohomology(block: CriticalBlock, d: np.ndarray, res: RankResult) -> BlockCohomology:
+    """A circle's cohomology ker D in degrees n, n + 1 from the rank decision
+    of its D."""
+    n = block.middle_degree
+    ker = res.kernel_basis
+    coker = res.cokernel_basis
+    k = ker.shape[1]
+    if k and np.abs(d @ ker).max() > STRUCT_TOL * max(1.0, float(np.abs(d).max())):
+        raise BasisMismatch(f"block {block.id}: kernel basis does not lie in ker D")
+    dims = {n: k, n + 1: k} if k else {}
+    bases = {n: ker, n + 1: coker}
+    # on the SVD's own kernel and cokernel bases the two-term complex
+    # 0 -> C^m -D-> C^m -> 0 has torsion prod of the kept singular values
+    factor = TorsionScalar(
+        modulus_from_log((-1) ** n * res.log_kept, f"block {block.id} torsion factor"),
+        ACYCLIC_NOTE if k == 0 else RELATIVE_NOTE,
+    )
+    return BlockCohomology(
+        block_id=block.id,
+        kind=block.kind,
+        level=block.level,
+        middle=n,
+        D=d,
+        D_star=None,
+        dims=dims,
+        bases=bases,
+        torsion_factor=factor,
+        acyclic=(k == 0),
+        warnings=[],
+        rank_result=res,
+    )
+
+
+def _extremal_cohomology(block, d, d_star, comm, res, res_star, tol_rel) -> BlockCohomology:
+    """A torus / Klein bottle's cohomology ker D, ker D* /\\ (im D)^perp,
+    coker D* in degrees n - 1, n, n + 1 from the decisions of D and D*;
+    comm is max |rho(alpha) rho(beta) - rho(beta) rho(alpha)|."""
+    n = block.middle_degree
+    warn = []
     if comm > 1e-9:
         warn.append(
             f"block {block.id}: rho(alpha) and rho(beta) do not commute "
             f"(max defect {comm:.2e}); the block formulas assume they do"
         )
-    d = np.concatenate([da, db], axis=0)            # C^m p -> C^m q (+) C^m r
-    d_star = np.concatenate([db, a - eye], axis=1)  # C^m q (+) C^m r -> C^m s
-    # one rank decision each: ker D, coker D*, and ker D* cut against im D
-    res, res_star = (rank_nullspace(op, tol_rel, scale=1.0) for op in (d, d_star))
     ker, top = res.kernel_basis, res_star.cokernel_basis
     middle_basis = _within(res_star.kernel_basis, res.range_basis, tol_rel)
     dims = {}
@@ -678,7 +721,7 @@ def assemble_complex(
     rep = model.representation
     m = rep.dim
     if cohomologies is None:
-        cohomologies = [block_cohomology(b, rep, tol_rel=tol_rel) for b in model.blocks]
+        cohomologies = _block_cohomologies(model.blocks, rep, tol_rel)
     dims = [m * len(morse.points[k]) for k in range(4)]
     diffs = [np.zeros((dims[k + 1], dims[k]), dtype=complex) for k in range(3)]
     diff = _morse_differential(model, cohomologies)
@@ -831,7 +874,7 @@ def assemble_d1(
     """
     if cohomologies is None:
         ensure_valid(model)
-        cohomologies = [block_cohomology(b, model.representation, tol_rel=tol_rel) for b in model.blocks]
+        cohomologies = _block_cohomologies(model.blocks, model.representation, tol_rel)
     diff = _morse_differential(model, cohomologies)
     _check_square_zero(diff, cohomologies)
     e1 = _build_e1(model, cohomologies, _morse_anchor(diff))
@@ -961,10 +1004,13 @@ def _stage(name: str, model: BottModel):
 def total_torsion(model: BottModel, mode: str = "auto", tol_rel: float = DEFAULT_TOL) -> TorsionReport:
     """Torsion of the isoenergy surface from the block data.
 
-    mode "fast" uses the determinant product prod |det D_i|^((-1)^u_i),
-    legal only when every block is a circle whose D block_cohomology found
-    nonsingular at tol_rel; each log |det D_i| then comes from an LU
-    (numpy slogdet), so no second rank decision is made. mode "full" runs
+    The first page is decided as stacks (_block_cohomologies): one walk
+    over every block word, one LAPACK call for every circle's D, one each
+    for the extremal blocks' D and D*. mode "fast" uses the determinant
+    product prod |det D_i|^((-1)^u_i), legal only when every block is a
+    circle whose D was found nonsingular at tol_rel; the log |det D_i| then
+    come from one stacked LU (numpy slogdet) and are summed in model order,
+    so no second rank decision is made. mode "full" runs
     the page-by-page pipeline. mode "auto" runs the full pipeline and
     cross-checks the fast product whenever it is legal; the two logs must
     agree to 1e-8.
@@ -981,7 +1027,7 @@ def total_torsion(model: BottModel, mode: str = "auto", tol_rel: float = DEFAULT
         raise InvalidInput(f"mode must be auto, fast or full, got {mode!r}")
     ensure_valid(model)
     with _stage("block cohomology", model):
-        cohomologies = [block_cohomology(b, model.representation, tol_rel=tol_rel) for b in model.blocks]
+        cohomologies = _block_cohomologies(model.blocks, model.representation, tol_rel)
     fast_legal = all(
         b.kind == CIRCLE and coh.acyclic for b, coh in zip(model.blocks, cohomologies)
     )
@@ -998,13 +1044,15 @@ def total_torsion(model: BottModel, mode: str = "auto", tol_rel: float = DEFAULT
 
     # moduli are accumulated as sums of logs: a product of finite block
     # factors in model order can leave the float range midway. Every D here
-    # was found nonsingular at tol_rel by block_cohomology; its log |det|
+    # was found nonsingular at tol_rel on the first page; its log |det|
     # comes from an LU, independent of that SVD
     if fast_legal:
         log_fast = 0.0
+        m = model.representation.dim
         with _stage("fast path product", model):
-            for b, coh in zip(model.blocks, cohomologies):
-                log_fast += (-1) ** b.index * float(np.linalg.slogdet(coh.D)[1])
+            stack = np.reshape([coh.D for coh in cohomologies], (-1, m, m))
+            for b, logdet in zip(model.blocks, np.linalg.slogdet(stack)[1].tolist()):
+                log_fast += (-1) ** b.index * logdet
 
     if mode == "fast":
         tau_d0 = TorsionScalar(modulus_from_log(log_fast, "fast path product"), ACYCLIC_NOTE)

@@ -15,13 +15,18 @@ Conventions
   The residual sign/phase freedom of singular vectors never reaches a
   reported number: downstream torsion moduli are invariant under unitary
   changes of these bases.
-* One SVD per rank decision. rank_nullspace returns a RankResult that
-  carries everything later steps need from that one decomposition: the
-  rank, the kernel, cokernel, row-space and range bases, the singular
-  values and the threshold. Callers reuse it rather than decomposing the
-  same matrix again; the product of the kept singular values is the
-  torsion of the two-term complex on the SVD's own kernel and cokernel
-  bases.
+* One SVD per rank decision, and one LAPACK call per stack of
+  same-shape decisions. rank_nullspace returns a RankResult that carries
+  everything later steps need from that one decomposition: the rank, the
+  kernel, cokernel, row-space and range bases, the singular values and the
+  threshold. Callers reuse it rather than decomposing the same matrix
+  again; the product of the kept singular values is the torsion of the
+  two-term complex on the SVD's own kernel and cokernel bases. Many small
+  decisions of one shape (a model's block matrices) go to
+  _rank_nullspaces as one (n, rows, cols) stack: one np.linalg.svd call,
+  and each matrix keeps its own threshold, rank and ambiguity flag, so
+  each RankResult equals the lone decision of its matrix bit for bit.
+  rank_nullspace is the stack of one; there is no second cut.
 * block_operator_norm reads a matrix from its nonzero blocks, so a norm
   of a large block-sparse operator needs no dense copy of it.
 """
@@ -59,14 +64,18 @@ class AmbiguousRankWarning(UserWarning):
     """Some singular value fell within a factor of 10 of the rank threshold."""
 
 
-def as_cmatrix(a, what: str = "matrix") -> np.ndarray:
-    """Coerce to a finite 2-d complex array, raising InvalidInput otherwise."""
+def _as_carray(a, ndim: int, what: str) -> np.ndarray:
     arr = np.asarray(a, dtype=complex)
-    if arr.ndim != 2:
-        raise InvalidInput(f"{what}: expected a 2-d array, got ndim={arr.ndim}")
+    if arr.ndim != ndim:
+        raise InvalidInput(f"{what}: expected a {ndim}-d array, got ndim={arr.ndim}")
     if arr.size and not np.isfinite(arr).all():
         raise InvalidInput(f"{what}: non-finite entry")
     return arr
+
+
+def as_cmatrix(a, what: str = "matrix") -> np.ndarray:
+    """Coerce to a finite 2-d complex array, raising InvalidInput otherwise."""
+    return _as_carray(a, 2, what)
 
 
 @dataclass(frozen=True)
@@ -100,37 +109,84 @@ class RankResult:
         return float(np.log(self.singular_values[: self.rank]).sum())
 
 
-def _svd(a: np.ndarray, full: bool = True):
-    rows, cols = a.shape
+def _svd(stack: np.ndarray, full: bool = True):
+    """SVD of every matrix of an (n, rows, cols) stack in one LAPACK call;
+    identity factors for zero-size matrices. A stack of one goes to LAPACK
+    as its 2-d matrix, the same routine on the same data, so a trace that
+    reads np.linalg.svd shapes (perfbench's flop count) still sees it."""
+    n, rows, cols = stack.shape
     if rows == 0 or cols == 0:
-        u = np.eye(rows, dtype=complex)
-        s = np.zeros(0)
-        vh = np.eye(cols, dtype=complex)
-        return u, s, vh
-    return np.linalg.svd(a, full_matrices=full)
+        u = np.eye(rows, dtype=complex)[None].repeat(n, axis=0)
+        vh = np.eye(cols, dtype=complex)[None].repeat(n, axis=0)
+        return u, np.zeros((n, 0)), vh
+    if n == 1:
+        u, s, vh = np.linalg.svd(stack[0], full_matrices=full)
+        return u[None], s[None], vh[None]
+    return np.linalg.svd(stack, full_matrices=full)
 
 
-def _cut(a: np.ndarray, tol_rel: float, scale: float, full: bool = True):
-    """The SVD of a (thin unless full), its rank under tol_rel *
-    max(rows, cols) * sigma_max (sigma_max anchored from below by scale,
-    tol_rel itself for zero), and whether the cut is ambiguous: some
-    singular value within a factor of 10 of the threshold, which warns
-    AmbiguousRankWarning at the caller of the public entry point. tol_rel
-    must lie in (0, 1)."""
+def _cut(stack: np.ndarray, tol_rel: float, scale: float, full: bool = True, stacklevel: int = 3):
+    """The SVDs of an (n, rows, cols) stack (thin unless full), and per
+    matrix, as lists: its threshold tol_rel * max(rows, cols) * sigma_max
+    (sigma_max anchored from below by scale, tol_rel itself for zero), its
+    rank and whether its cut is ambiguous: some singular value within a
+    factor of 10 of the threshold. One AmbiguousRankWarning covers the
+    stack, raised at the frame `stacklevel` up (the caller of the public
+    entry point). tol_rel must lie in (0, 1)."""
     if not 0.0 < tol_rel < 1.0:
         raise InvalidInput(f"tol_rel must lie in (0, 1), got {tol_rel}")
-    u, s, vh = _svd(a, full)
-    smax = max(float(s[0]) if s.size else 0.0, float(scale))
-    threshold = tol_rel * max(a.shape) * smax if smax > 0.0 else tol_rel
-    ambiguous = bool(np.any((s > threshold / 10.0) & (s < threshold * 10.0)))
-    if ambiguous:
+    u, s, vh = _svd(stack, full)
+    n, rows, cols = stack.shape
+    big, scale = tol_rel * max(rows, cols), float(scale)
+    thresholds, ranks, ambiguous = [], [], []
+    for row in s.tolist():
+        smax = max(row[0], scale) if row else scale
+        threshold = big * smax if smax > 0.0 else tol_rel
+        rank = sum(map(threshold.__lt__, row))
+        thresholds.append(threshold)
+        ranks.append(rank)
+        # row is non-increasing: the values nearest the threshold are the
+        # last one kept and the first one dropped
+        ambiguous.append(
+            (rank > 0 and row[rank - 1] < threshold * 10.0)
+            or (rank < len(row) and row[rank] > threshold / 10.0)
+        )
+    if any(ambiguous):
+        where = f" ({sum(ambiguous)} of {n} matrices)" if n > 1 else ""
         warnings.warn(
             AmbiguousRankWarning(
-                f"singular value within a factor of 10 of threshold {threshold:.3e}"
+                f"singular value within a factor of 10 of threshold "
+                f"{thresholds[ambiguous.index(True)]:.3e}{where}"
             ),
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
-    return u, s, vh, threshold, int(np.count_nonzero(s > threshold)), ambiguous
+    return u, s, vh, thresholds, ranks, ambiguous
+
+
+def _rank_nullspaces(
+    stack, tol_rel: float = DEFAULT_TOL, scale: float = 0.0, stacklevel: int = 2
+) -> list[RankResult]:
+    """rank_nullspace of every matrix of an (n, rows, cols) stack, in
+    order, from one LAPACK call. Each matrix keeps its own threshold, rank
+    and ambiguity flag, so each result equals its matrix decided alone;
+    one AmbiguousRankWarning covers the stack, raised as warnings.warn
+    would with `stacklevel` here (2: at the caller)."""
+    u, s, vh, thresholds, ranks, ambiguous = _cut(
+        _as_carray(stack, 3, "matrix"), tol_rel, scale, stacklevel=stacklevel + 1
+    )
+    return [
+        RankResult(
+            rank=rank,
+            kernel_basis=vh_i[rank:].conj().T,
+            cokernel_basis=u_i[:, rank:],
+            row_basis=vh_i[:rank].conj().T,
+            range_basis=u_i[:, :rank],
+            singular_values=s_i,
+            tolerance_used=threshold,
+            ambiguous=flag,
+        )
+        for u_i, s_i, vh_i, rank, threshold, flag in zip(u, s, vh, ranks, thresholds, ambiguous)
+    ]
 
 
 def rank_nullspace(a, tol_rel: float = DEFAULT_TOL, scale: float = 0.0) -> RankResult:
@@ -146,19 +202,13 @@ def rank_nullspace(a, tol_rel: float = DEFAULT_TOL, scale: float = 0.0) -> RankR
     arithmetic carries float noise, and measuring it against its own
     largest singular value would invent rank. Passing the ambient scale
     keeps the cut honest. Zero (the default) preserves the self-relative
-    behaviour.
+    behaviour. This is _rank_nullspaces on a stack of one, which checks
+    the entries.
     """
-    u, s, vh, threshold, rank, ambiguous = _cut(as_cmatrix(a), tol_rel, scale)
-    return RankResult(
-        rank=rank,
-        kernel_basis=vh[rank:].conj().T,
-        cokernel_basis=u[:, rank:],
-        row_basis=vh[:rank].conj().T,
-        range_basis=u[:, :rank],
-        singular_values=s,
-        tolerance_used=threshold,
-        ambiguous=ambiguous,
-    )
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 2:
+        raise InvalidInput(f"matrix: expected a 2-d array, got ndim={a.ndim}")
+    return _rank_nullspaces(a[None], tol_rel, scale, stacklevel=3)[0]
 
 
 def range_basis(a, tol_rel: float = DEFAULT_TOL, scale: float = 0.0) -> np.ndarray:
@@ -168,8 +218,8 @@ def range_basis(a, tol_rel: float = DEFAULT_TOL, scale: float = 0.0) -> np.ndarr
 
     `scale` has the same role as in rank_nullspace.
     """
-    u, _, _, _, rank, _ = _cut(as_cmatrix(a), tol_rel, scale, full=False)
-    return u[:, :rank].copy()
+    u, _, _, _, rank, _ = _cut(as_cmatrix(a)[None], tol_rel, scale, full=False)
+    return u[0, :, : rank[0]].copy()
 
 
 def operator_norm(a) -> float:

@@ -88,7 +88,15 @@ class FilteredComplex:
                 )
             lv.append(arr)
         self.levels = lv
-        self._check_stability()
+        lowering = self._check_stability()
+        # the stability check declares every level-lowering entry zero; held
+        # as zeros, no rank decision at any tolerance keeps rank from them
+        if any(d[mask].any() for d, mask in zip(base.diffs, lowering)):
+            self.base = BasedComplex(
+                base.dims,
+                [np.where(mask, 0, d) for d, mask in zip(base.diffs, lowering)],
+                rank_scale=base.rank_scale,
+            )
 
     @classmethod
     def from_subsets(cls, base: BasedComplex, subsets, num_levels: Optional[int] = None):
@@ -114,20 +122,25 @@ class FilteredComplex:
             prev = current
         return cls(base, levels, num_levels)
 
-    def _check_stability(self):
+    def _check_stability(self) -> list:
+        """Raise InvalidFiltration where d maps a basis vector into a lower
+        level by more than 1e-12 * max(1, max|d|); return the level-lowering
+        positions of each differential."""
+        lowering = []
         for i, d in enumerate(self.base.diffs):
+            lower = self.levels[i + 1][:, None] < self.levels[i][None, :]
+            lowering.append(lower)
             if d.size == 0:
                 continue
             scale = max(1.0, float(np.abs(d).max()))
-            row_lv = self.levels[i + 1][:, None]
-            col_lv = self.levels[i][None, :]
-            bad = (np.abs(d) > 1e-12 * scale) & (row_lv < col_lv)
+            bad = (np.abs(d) > 1e-12 * scale) & lower
             if bad.any():
                 r, c = np.argwhere(bad)[0]
                 raise InvalidFiltration(
                     f"not d-stable: d^{i}[{r},{c}] maps level {self.levels[i][c]} "
                     f"into level {self.levels[i + 1][r]}"
                 )
+        return lowering
 
 
 @dataclass
@@ -184,16 +197,9 @@ def _zspace(
     block was cut out of, so rows that vanish in exact arithmetic stay rank
     zero. Rows below member are left out because d maps F_member into
     itself; so for target at or below member the answer is F_member's
-    coordinate columns, and no rank decision is made.
-
-    The rows left out hold only level-lowering entries, which
-    FilteredComplex admits up to 1e-12 * max(1, max|d|). A block of them has
-    norm at most max(shape) * 1e-12 * max(1, anchor), below the cut for
-    every tol_rel >= 1e-12, so where they are all the rows leaving them out
-    is exact; elsewhere they can only move a singular value that already
-    sits within that norm of the cut. Below that tolerance a cut could keep
-    rank from entries the stability check declared zero; here they are
-    zero at every tolerance.
+    coordinate columns, and no rank decision is made. The rows left out
+    hold only level-lowering entries, which FilteredComplex holds as exact
+    zeros, so leaving them out is exact at every tolerance.
     """
     dim = fc.base.dim(k)
     if member >= fc.num_levels or k < 0 or k >= len(fc.base.dims):

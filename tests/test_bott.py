@@ -255,6 +255,49 @@ class TestBlockCohomology:
             middle += h.shape[1]
         assert middle > 0
 
+    def test_each_block_is_its_entry_of_the_batched_call(self):
+        # circles of every index and sign, tori and Klein bottles with
+        # commuting and non-commuting holonomies: the batched first page
+        # decides each block as block_cohomology does alone, bit for bit
+        from torsflow.bott import _block_cohomologies
+
+        rng = np.random.default_rng(44)
+        m = 3
+        v = rand_unitary(rng, m)
+        a = v @ np.diag([1.0, 1.0, np.exp(1.1j)]) @ v.conj().T
+        b = v @ np.diag([1.0, -1.0, np.exp(0.7j)]) @ v.conj().T
+        rep = Representation(m, {"a": a, "b": b, "u": rand_unitary(rng, m), "e": np.eye(m)})
+        blocks = [
+            CriticalBlock("c0", "circle", 0.0, index=0, delta=1, holonomy=("a",)),
+            CriticalBlock("T0", "torus", 0.0, extremal="min", alpha=("a",), beta=("b",)),
+            CriticalBlock("c1", "circle", 0.0, index=1, delta=-1, holonomy=("u", "a")),
+            CriticalBlock("K0", "klein", 0.0, extremal="min", alpha=("a",), beta=("b",)),
+            CriticalBlock("c2", "circle", 0.0, index=2, delta=1, holonomy=("e",)),
+            CriticalBlock("T1", "torus", 0.0, extremal="max", alpha=("u",), beta=("a",)),
+            CriticalBlock("K1", "klein", 0.0, extremal="max", alpha=("e",), beta=("b", "b")),
+            CriticalBlock("c3", "circle", 0.0, index=1, delta=1, holonomy=("u", "u^-1")),
+        ]
+        batched = _block_cohomologies(blocks, rep)
+        assert [coh.block_id for coh in batched] == [blk.id for blk in blocks]
+        bits = lambda x: None if x is None else np.ascontiguousarray(x).tobytes()
+        for blk, got in zip(blocks, batched):
+            want = block_cohomology(blk, rep)
+            for name in ("block_id", "kind", "level", "middle", "dims", "torsion_factor", "acyclic", "warnings"):
+                assert getattr(got, name) == getattr(want, name), (blk.id, name)
+            assert bits(got.D) == bits(want.D) and bits(got.D_star) == bits(want.D_star)
+            assert got.bases.keys() == want.bases.keys()
+            for degree in want.bases:
+                assert got.bases[degree].shape == want.bases[degree].shape
+                assert bits(got.bases[degree]) == bits(want.bases[degree]), (blk.id, degree)
+            assert (got.rank_result is None) == (want.rank_result is None) == (blk.kind != "circle")
+            if want.rank_result is not None:
+                assert got.rank_result.rank == want.rank_result.rank
+                assert bits(got.rank_result.singular_values) == bits(want.rank_result.singular_values)
+                assert got.rank_result.tolerance_used == want.rank_result.tolerance_used
+        # the pattern has every kind of outcome: acyclic and not, warnings
+        assert {coh.acyclic for coh in batched} == {True, False}
+        assert any(coh.warnings for coh in batched)
+
 
 class TestExpandMorse:
     def test_single_saddle_circle(self):
@@ -605,16 +648,18 @@ class TestComputedOnce:
         from torsflow import bott
 
         calls = []
-        original = bott.block_cohomology
+        original = bott._block_cohomologies
 
-        def counted(block, *args, **kwargs):
-            calls.append(block.id)
-            return original(block, *args, **kwargs)
+        def counted(blocks, *args, **kwargs):
+            calls.extend(block.id for block in blocks)
+            return original(blocks, *args, **kwargs)
 
-        monkeypatch.setattr(bott, "block_cohomology", counted)
-        model = kovalevskaya_model()
-        total_torsion(model)
-        assert sorted(calls) == sorted(b.id for b in model.blocks)
+        monkeypatch.setattr(bott, "_block_cohomologies", counted)
+        fast_legal = random_circle_model(np.random.default_rng(5))
+        for model, mode in ((kovalevskaya_model(), "auto"), (kovalevskaya_model(), "full"), (fast_legal, "fast")):
+            calls.clear()
+            total_torsion(model, mode=mode)
+            assert sorted(calls) == sorted(b.id for b in model.blocks)
 
     def test_validated_once(self, monkeypatch):
         from torsflow import bott
@@ -659,17 +704,21 @@ class TestComputedOnce:
         from torsflow import TorsionError
 
         model = random_circle_model(np.random.default_rng(5))
-        monkeypatch.setattr(np.linalg, "slogdet", lambda a: (1.0, float("nan")))
+        # one stacked slogdet for the fast product: NaN for every block
+        monkeypatch.setattr(
+            np.linalg, "slogdet", lambda a: (np.ones(np.shape(a)[:-2]), np.full(np.shape(a)[:-2], np.nan))
+        )
         with pytest.raises(TorsionError, match="disagree"):
             total_torsion(model, mode="auto")
 
     def test_one_svd_per_operator(self, monkeypatch):
         # k = 4, m = 2 Kovalevskaya replica (24 circle blocks, acyclic):
-        # one SVD per block D, and two d1 blocks decomposed once each for
-        # the kernel of their source, the range and its complement in their
-        # target and the page-one torsion; the target slots have no
-        # outgoing d1, so they take that complement with no further cut,
-        # and the page-one torsion complex is not decomposed again
+        # one SVD per block D, all 24 in one stacked LAPACK call, and two
+        # d1 blocks decomposed once each for the kernel of their source,
+        # the range and its complement in their target and the page-one
+        # torsion; the target slots have no outgoing d1, so they take that
+        # complement with no further cut, and the page-one torsion complex
+        # is not decomposed again
         calls = []
         original = np.linalg.svd
 
@@ -682,7 +731,9 @@ class TestComputedOnce:
         report = total_torsion(model)
         assert report.total.modulus == pytest.approx(4.0 ** 8, rel=1e-12)
         assert report.acyclic
-        assert len(calls) == 26
+        assert calls == [(24, 2, 2), (16, 16), (16, 16)]
+        # still one decision per operator: 26 matrices decomposed
+        assert sum(shape[0] if len(shape) == 3 else 1 for shape in calls) == 26
 
 
 class TestOneDecomposition:
@@ -836,14 +887,15 @@ class TestBlockSparse:
         "largest, stage", [(0, "block cohomology"), (4, "first page")], ids=["any", "page"]
     )
     def test_memory_error_names_the_stage(self, monkeypatch, largest, stage):
-        # SVDs up to `largest` rows and columns still run: at m = 2 the block
-        # D matrices are 2 x 2 and the first page decisions are larger
+        # SVDs of matrices up to `largest` rows and columns still run: at
+        # m = 2 the block D matrices are 2 x 2 (one stack of 24) and the
+        # first page decisions are larger
         from torsflow import TorsionError
 
         original = np.linalg.svd
 
         def exhausted(a, *args, **kwargs):
-            if max(np.shape(a)) <= largest:
+            if max(np.shape(a)[-2:]) <= largest:
                 return original(a, *args, **kwargs)
             raise MemoryError
 

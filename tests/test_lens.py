@@ -15,9 +15,10 @@ from torsflow import (
     cw_torsion,
     filtered_pages,
     lens_space,
+    rp3,
     total_torsion,
 )
-from helpers import lens_bott_model, lens_rep
+from helpers import kovalevskaya_replica, lens_bott_model, lens_rep
 
 
 def char_rep(p, j):
@@ -92,7 +93,7 @@ def test_homeomorphic_lens_spaces_share_their_torsions():
 
 def test_block_route_walks_the_orbit_words_once(monkeypatch):
     # L(97, 54), m = 48: the orbit words t^0 .. t^96 cost 96 products, the
-    # holonomies t and t^9 (9 = 54^-1 mod 97) 1 and 9
+    # holonomies t and t^9 (9 = 54^-1 mod 97), walked together, 9
     rep = lens_rep(np.random.default_rng(72), 97, 48)[0]
     calls = []
     original = Representation.token_matrix
@@ -103,4 +104,15 @@ def test_block_route_walks_the_orbit_words_once(monkeypatch):
 
     monkeypatch.setattr(Representation, "token_matrix", counted)
     total_torsion(lens_bott_model(97, 54, rep))
-    assert len(calls) == 106
+    assert len(calls) == 105
+
+
+@pytest.mark.parametrize("k, m", [(24, 1), (5, 4), (2, 16)])
+def test_kovalevskaya_replicas_are_copies_of_rp3(k, m):
+    # each Kovalevskaya copy with rho(g) = -I_m has the torsion of RP^3 =
+    # L(2, 1) with rho(t) = -I_m, so k disjoint copies give k times its log
+    report = total_torsion(kovalevskaya_replica(k, m))
+    dims, tau = cw_torsion(rp3(), Representation(m, {"t": -np.eye(m)}))
+    assert dims == (0, 0, 0, 0)
+    assert report.acyclic
+    assert np.log(report.total.modulus) == pytest.approx(k * np.log(tau.modulus), abs=1e-8)

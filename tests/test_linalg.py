@@ -10,7 +10,8 @@ from torsflow import (
     rank_nullspace,
     singular_product,
 )
-from helpers import assert_same_span, rand_unitary
+from torsflow.linalg import _rank_nullspaces
+from helpers import assert_same_span, rand_complex_matrix, rand_unitary
 
 
 def test_diag_two_zero():
@@ -241,3 +242,77 @@ def test_range_basis_owns_its_memory():
     assert basis.shape == (40, 3)
     assert basis.base is None and basis.flags.owndata
     assert np.array_equal(basis, rank_nullspace(a).range_basis)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+def _assert_same_decision(got, want):
+    # bit for bit: every field of the stacked decision is the lone one's
+    assert got.rank == want.rank
+    for name in ("singular_values", "kernel_basis", "cokernel_basis", "row_basis", "range_basis"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.dtype == b.dtype, name
+        assert _bits(a) == _bits(b), name
+    assert got.tolerance_used == want.tolerance_used
+    assert got.ambiguous == want.ambiguous
+
+
+@pytest.mark.parametrize(
+    "shape", [(1, 1), (4, 4), (6, 3), (3, 6), (0, 3), (3, 0)], ids=["1x1", "4x4", "2mxm", "mx2m", "no-rows", "no-cols"]
+)
+@pytest.mark.parametrize("scale", [0.0, 1.0])
+def test_stacked_cut_matches_separate_decisions(monkeypatch, shape, scale):
+    # seven matrices of every rank the shape allows, one of them zero, in
+    # one LAPACK call; each keeps the threshold, rank and bases it gets alone
+    rng = np.random.default_rng(sum(shape) + int(scale))
+    rows, cols = shape
+    stack = [
+        rand_complex_matrix(rng, rows, r) @ rand_complex_matrix(rng, r, cols)
+        for r in (j % (min(shape) + 1) for j in range(7))
+    ]
+    stack[3] = np.zeros(shape)
+    stack = np.array(stack, dtype=complex)
+    calls = []
+    original = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    got = _rank_nullspaces(stack, 1e-10, scale)
+    assert calls == ([(7, rows, cols)] if rows and cols else [])
+    assert len(got) == 7
+    for a, res in zip(stack, got):
+        _assert_same_decision(res, rank_nullspace(a, 1e-10, scale))
+    assert got[3].rank == 0
+
+
+def test_stacked_cut_warns_once_for_its_ambiguous_matrix():
+    stack = np.array([np.eye(2), np.diag([1.0, 3e-10]), np.diag([1.0, 0.0])], dtype=complex)
+    with pytest.warns(AmbiguousRankWarning) as caught:
+        got = _rank_nullspaces(stack, 1e-10)
+    assert len(caught) == 1 and caught[0].filename == __file__
+    assert [res.ambiguous for res in got] == [False, True, False]
+    assert [res.rank for res in got] == [2, 2, 1]
+    for a, res in zip(stack, got):
+        if res.ambiguous:
+            with pytest.warns(AmbiguousRankWarning):
+                want = rank_nullspace(a, 1e-10)
+        else:
+            want = rank_nullspace(a, 1e-10)
+        _assert_same_decision(res, want)
+
+
+def test_stacked_cut_rejects_bad_input():
+    stack = np.zeros((3, 2, 2), dtype=complex)
+    stack[1, 0, 1] = np.nan
+    with pytest.raises(InvalidInput, match="non-finite"):
+        _rank_nullspaces(stack)
+    with pytest.raises(InvalidInput, match="3-d"):
+        _rank_nullspaces(np.eye(2))
+    for tol_rel in (0.0, 1.0):
+        with pytest.raises(InvalidInput):
+            _rank_nullspaces(np.zeros((2, 2, 2)), tol_rel)

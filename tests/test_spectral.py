@@ -267,13 +267,18 @@ def test_page_zero_is_the_coordinate_grading():
                 assert np.array_equal(res.pages[0].spaces[(n, k - n)], want)
 
 
-def _graded_acyclic_complex(rng, noise):
-    """Two-term complex on three levels, each level an invertible block,
-    random level-raising coupling, and every level-lowering entry set to
-    `noise` times the stability bound 1e-12 * max(1, max|d|)."""
+def _graded_complex(rng, noise, deficient=False):
+    """Two-term complex on three levels, each level an invertible block
+    (with `deficient`, a block of rank one less), random level-raising
+    coupling, and every level-lowering entry set to `noise` times the
+    stability bound 1e-12 * max(1, max|d|)."""
     levels = np.repeat(np.arange(3), [2, 3, 2])
     lower = levels[:, None] < levels[None, :]
     d = np.where(lower, 0, rand_complex_matrix(rng, 7, 7))
+    if deficient:
+        for n, size in enumerate([2, 3, 2]):
+            at = np.ix_(levels == n, levels == n)
+            d[at] = rand_complex_matrix(rng, size, size - 1) @ rand_complex_matrix(rng, size - 1, size)
     scale = max(1.0, float(np.abs(d).max()))
     phases = np.exp(2j * np.pi * rng.random((7, 7)))
     d = np.where(lower, noise * 1e-12 * scale * phases, d)
@@ -286,11 +291,27 @@ def test_level_lowering_noise_under_the_stability_bound_is_zero(tol_rel):
     # scale; with every level block invertible the pages treat them as the
     # zeros it declared them, also at a tolerance below 1e-12
     for seed in range(4):
-        noisy = _graded_acyclic_complex(np.random.default_rng(seed), 0.9)
-        zeroed = _graded_acyclic_complex(np.random.default_rng(seed), 0.0)
+        noisy = _graded_complex(np.random.default_rng(seed), 0.9)
+        zeroed = _graded_complex(np.random.default_rng(seed), 0.0)
         got, want = filtered_pages(noisy, tol_rel), filtered_pages(zeroed, tol_rel)
         assert [p.dims() for p in got.pages] == [p.dims() for p in want.pages]
         assert got.total.modulus == pytest.approx(want.total.modulus, rel=1e-12)
+
+
+@pytest.mark.parametrize("tol_rel", [1e-10, 1e-14])
+def test_level_lowering_noise_beside_rank_deficient_level_blocks(tol_rel):
+    # a rank-deficient level block leaves a kernel for level-lowering noise
+    # to lift off the cut; FilteredComplex holds that noise as the zeros the
+    # stability check declared it, so the noisy copy is its zeroed copy
+    for seed in range(4):
+        noisy = _graded_complex(np.random.default_rng(seed), 0.9, deficient=True)
+        zeroed = _graded_complex(np.random.default_rng(seed), 0.0, deficient=True)
+        assert all(np.array_equal(a, b) for a, b in zip(noisy.base.diffs, zeroed.base.diffs))
+        assert noisy.base.rank_scale == zeroed.base.rank_scale
+        got, want = filtered_pages(noisy, tol_rel), filtered_pages(zeroed, tol_rel)
+        assert [p.dims() for p in got.pages] == [p.dims() for p in want.pages]
+        assert got.total.modulus == want.total.modulus
+        assert any(p.dims() for p in got.pages[1:])
 
 
 def test_ladder_page_past_the_last_level_costs_no_svd(monkeypatch):
