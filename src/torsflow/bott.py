@@ -100,13 +100,25 @@ _TIER_NAMES = {
     _TIER_MAX_CIRCLE: "maximum circle",
 }
 
+#: tier of a circle of normal Morse index 0, 1, 2
+_CIRCLE_TIERS = (_TIER_MIN_CIRCLE, _TIER_SADDLE, _TIER_MAX_CIRCLE)
+
 #: filtration level of each tier (minima, saddles, maxima)
 _TIER_LEVEL = {0: 0, 1: 0, 2: 1, 3: 2, 4: 2}
 
-_CIRCLE_LABELS = ("w", "z")
-_EXTREMAL_LABELS = ("p", "q", "r", "s")
+#: Morse points of each tier, label -> Morse index, in label order: a
+#: circle of index u gives w, z of index u, u + 1; a torus / Klein bottle
+#: gives p, q, r, s of index 0, 1, 1, 2, plus 1 when maximal
+_POINTS = {
+    _TIER_MIN_CIRCLE: {"w": 0, "z": 1},
+    _TIER_MIN_EXTREMAL: {"p": 0, "q": 1, "r": 1, "s": 2},
+    _TIER_SADDLE: {"w": 1, "z": 2},
+    _TIER_MAX_EXTREMAL: {"p": 1, "q": 2, "r": 2, "s": 3},
+    _TIER_MAX_CIRCLE: {"w": 2, "z": 3},
+}
 
-#: missing-connection pairs quoted per warning line
+#: examples quoted per summary line: missing-connection pairs, and the
+#: blocks that rule out the fast path
 _MISSING_EXAMPLES = 3
 
 
@@ -150,7 +162,7 @@ class CriticalBlock:
     @property
     def tier(self) -> int:
         if self.kind == CIRCLE:
-            return {0: _TIER_MIN_CIRCLE, 1: _TIER_SADDLE, 2: _TIER_MAX_CIRCLE}[self.index]
+            return _CIRCLE_TIERS[self.index]
         return _TIER_MIN_EXTREMAL if self.extremal == "min" else _TIER_MAX_EXTREMAL
 
     @property
@@ -166,20 +178,13 @@ class CriticalBlock:
         return 1 if self.extremal == "min" else 2
 
     def labels(self) -> tuple:
-        return _CIRCLE_LABELS if self.kind == CIRCLE else _EXTREMAL_LABELS
+        return tuple(_POINTS[self.tier])
 
     def point_index(self, label: str) -> int:
-        if self.kind == CIRCLE:
-            if label == "w":
-                return self.index
-            if label == "z":
-                return self.index + 1
-        else:
-            base = 0 if self.extremal == "min" else 1
-            offset = {"p": 0, "q": 1, "r": 1, "s": 2}.get(label)
-            if offset is not None:
-                return base + offset
-        raise InvalidInput(f"block {self.id} ({self.kind}) has no point labelled {label!r}")
+        index = _POINTS[self.tier].get(label)
+        if index is None:
+            raise InvalidInput(f"block {self.id} ({self.kind}) has no point labelled {label!r}")
+        return index
 
 
 @dataclass(frozen=True)
@@ -256,38 +261,18 @@ _DIAG_ERRORS = {
     "InvalidInput": InvalidInput,
 }
 
-# licensed cochain components (source point -> target point, index rising by 1),
-# keyed by ((source tier, label), (target tier, label)); value "d1" or "d2"
-_LICENSED = {}
-for _src, _dst in [
-    ((_TIER_MIN_CIRCLE, "w"), (_TIER_SADDLE, "w")),
-    ((_TIER_MIN_CIRCLE, "z"), (_TIER_SADDLE, "z")),
-    ((_TIER_SADDLE, "w"), (_TIER_MAX_CIRCLE, "w")),
-    ((_TIER_SADDLE, "z"), (_TIER_MAX_CIRCLE, "z")),
-    ((_TIER_MIN_EXTREMAL, "p"), (_TIER_SADDLE, "w")),
-    ((_TIER_MIN_EXTREMAL, "q"), (_TIER_SADDLE, "z")),
-    ((_TIER_MIN_EXTREMAL, "r"), (_TIER_SADDLE, "z")),
-    ((_TIER_SADDLE, "w"), (_TIER_MAX_EXTREMAL, "q")),
-    ((_TIER_SADDLE, "w"), (_TIER_MAX_EXTREMAL, "r")),
-    ((_TIER_SADDLE, "z"), (_TIER_MAX_EXTREMAL, "s")),
-]:
-    _LICENSED[(_src, _dst)] = "d1"
-for _src, _dst in [
-    ((_TIER_MIN_CIRCLE, "w"), (_TIER_MAX_EXTREMAL, "p")),
-    ((_TIER_MIN_EXTREMAL, "p"), (_TIER_MAX_EXTREMAL, "p")),
-    ((_TIER_MIN_CIRCLE, "z"), (_TIER_MAX_CIRCLE, "w")),
-    ((_TIER_MIN_CIRCLE, "z"), (_TIER_MAX_EXTREMAL, "q")),
-    ((_TIER_MIN_CIRCLE, "z"), (_TIER_MAX_EXTREMAL, "r")),
-    ((_TIER_MIN_EXTREMAL, "q"), (_TIER_MAX_CIRCLE, "w")),
-    ((_TIER_MIN_EXTREMAL, "q"), (_TIER_MAX_EXTREMAL, "q")),
-    ((_TIER_MIN_EXTREMAL, "q"), (_TIER_MAX_EXTREMAL, "r")),
-    ((_TIER_MIN_EXTREMAL, "r"), (_TIER_MAX_CIRCLE, "w")),
-    ((_TIER_MIN_EXTREMAL, "r"), (_TIER_MAX_EXTREMAL, "q")),
-    ((_TIER_MIN_EXTREMAL, "r"), (_TIER_MAX_EXTREMAL, "r")),
-    ((_TIER_MIN_EXTREMAL, "s"), (_TIER_MAX_EXTREMAL, "s")),
-    ((_TIER_MIN_EXTREMAL, "s"), (_TIER_MAX_CIRCLE, "z")),
-]:
-    _LICENSED[(_src, _dst)] = "d2"
+# licensed cochain components (source point -> target point), keyed by
+# ((source tier, label), (target tier, label)): a gradient component joins
+# points of consecutive Morse index and raises the filtration level, and
+# it is d1 or d2 as it crosses one level or two
+_LICENSED = {
+    ((lo, a), (hi, b)): f"d{_TIER_LEVEL[hi] - _TIER_LEVEL[lo]}"
+    for lo in _POINTS
+    for a, k in _POINTS[lo].items()
+    for hi in _POINTS
+    for b, k_hi in _POINTS[hi].items()
+    if k_hi == k + 1 and _TIER_LEVEL[hi] > _TIER_LEVEL[lo]
+}
 
 
 def connection_kind(blocks: dict, conn: GradientConnection) -> str:
@@ -320,10 +305,12 @@ def validate_model(model: BottModel) -> list[Diagnostic]:
 
     Checks the tier ordering of the block list, id uniqueness, non-decreasing
     critical values (ties within a tier are fine, list order breaks them),
-    generator unitarity, word well-formedness, and every connection: its
-    points must exist, and connection_kind must license the pair. A pair of
-    non-consecutive index or between two saddle circles gets its own more
-    specific message instead.
+    word well-formedness, and every connection: its points must exist, and
+    connection_kind must license the pair. A pair of non-consecutive index
+    or between two saddle circles gets its own more specific message
+    instead. Generator unitarity is not checked here: Representation's
+    constructor rejects a generator with defect above UNITARY_TOL and
+    freezes each one.
     """
     diags: list[Diagnostic] = []
     rep = model.representation
@@ -358,15 +345,6 @@ def validate_model(model: BottModel) -> list[Diagnostic]:
         for word in words:
             for msg in rep.word_errors(word):
                 diags.append(Diagnostic("InvalidInput", b.id, f"block {b.id}: {msg}"))
-
-    from .representation import unitary_defect
-
-    for name, mat in rep.generators.items():
-        defect = unitary_defect(mat)
-        if defect > 1e-9:
-            diags.append(
-                Diagnostic("InvalidInput", name, f"generator {name} unitarity defect {defect:.2e}")
-            )
 
     blocks = model.block_map()
     for c, conn in enumerate(model.connections):
@@ -639,25 +617,25 @@ def _block_internal_components(block: CriticalBlock, coh: BlockCohomology):
     ]
 
 
-def _morse_differential(model: BottModel, cohomologies) -> dict:
-    """The Morse differential as m x m blocks keyed (k, target point, source
-    point), a point being (block id, label) and k the source degree: the
-    within-block matrices and the connection orbit sums, summed where one
-    pair carries several. The model has been validated, so every pair is
-    licensed."""
+def _morse_differential(model: BottModel, cohomologies) -> list:
+    """The Morse differential as m x m blocks, grouped by source degree k:
+    out[k] maps (target point, source point), a point being (block id,
+    label), to the within-block matrix or the connection orbit sum, summed
+    where one pair carries several. The model has been validated, so every
+    pair is licensed."""
     rep = model.representation
     blocks = model.block_map()
-    out: dict = {}
+    out: list = [{} for _ in range(3)]
 
-    def add(key, mat):
-        out[key] = out[key] + mat if key in out else mat
+    def add(k, key, mat):
+        out[k][key] = out[k][key] + mat if key in out[k] else mat
 
     for block, coh in zip(model.blocks, cohomologies):
         for src, dst, mat in _block_internal_components(block, coh):
-            add((block.point_index(src), (block.id, dst), (block.id, src)), mat)
+            add(block.point_index(src), ((block.id, dst), (block.id, src)), mat)
     for conn in model.connections:
         k = blocks[conn.to_point[0]].point_index(conn.to_point[1])
-        add((k, conn.from_point, conn.to_point), conn.matrix(rep))
+        add(k, (conn.from_point, conn.to_point), conn.matrix(rep))
     return out
 
 
@@ -670,21 +648,17 @@ def _not_a_complex(detail: str, cohomologies) -> NotAComplex:
     )
 
 
-def _check_square_zero(diff: dict, cohomologies) -> None:
+def _check_square_zero(diff: list, cohomologies) -> None:
     """d*d = 0 on the nonzero block products: BasedComplex's entrywise test
     at its global scale max|d^(k+1)| max|d^k|, without forming d."""
-    by_degree = [[] for _ in range(3)]
-    outgoing = defaultdict(list)
-    for (k, dst, src), mat in diff.items():
-        by_degree[k].append(mat)
-        outgoing[(k, src)].append((dst, mat))
-    top = [float(np.abs(np.array(mats)).max()) if mats else 0.0 for mats in by_degree]
+    top = [float(np.abs(np.array(list(pairs.values()))).max()) if pairs else 0.0 for pairs in diff]
     for k in range(2):
+        outgoing = defaultdict(list)
+        for (dst, src), mat in diff[k + 1].items():
+            outgoing[src].append((dst, mat))
         products: dict = {}
-        for (degree, mid, src), mat in diff.items():
-            if degree != k:
-                continue
-            for dst, after in outgoing.get((k + 1, mid), ()):
+        for (mid, src), mat in diff[k].items():
+            for dst, after in outgoing.get(mid, ()):
                 term = after @ mat
                 products[(dst, src)] = products[(dst, src)] + term if (dst, src) in products else term
         scale = max(1.0, top[k + 1] * top[k])
@@ -695,14 +669,11 @@ def _check_square_zero(diff: dict, cohomologies) -> None:
             )
 
 
-def _morse_anchor(diff: dict) -> float:
+def _morse_anchor(diff: list) -> float:
     """max(1, operator norm of the Morse differential), the anchor of the
     rank decisions on the Morse complex and on its pages: the largest
     norm of one degree's blocks (linalg.block_operator_norm)."""
-    by_degree: list = [{} for _ in range(3)]
-    for (k, dst, src), mat in diff.items():
-        by_degree[k][(dst, src)] = mat
-    return max([1.0] + [block_operator_norm(blocks) for blocks in by_degree])
+    return max([1.0] + [block_operator_norm(pairs) for pairs in diff])
 
 
 def assemble_complex(
@@ -725,10 +696,11 @@ def assemble_complex(
     dims = [m * len(morse.points[k]) for k in range(4)]
     diffs = [np.zeros((dims[k + 1], dims[k]), dtype=complex) for k in range(3)]
     diff = _morse_differential(model, cohomologies)
-    for (k, dst, src), mat in diff.items():
-        _, rows = morse.fiber(m, *dst)
-        _, cols = morse.fiber(m, *src)
-        diffs[k][rows, cols] = mat
+    for k, pairs in enumerate(diff):
+        for (dst, src), mat in pairs.items():
+            _, rows = morse.fiber(m, *dst)
+            _, cols = morse.fiber(m, *src)
+            diffs[k][rows, cols] = mat
 
     try:
         base = BasedComplex(dims, diffs, rank_scale=_morse_anchor(diff))
@@ -903,19 +875,20 @@ def _reduced_operator(model, cohomologies, diff, e1) -> tuple:
     }
     skips = {q: np.zeros((size[(2, q - 1)], size[(0, q)]), dtype=complex) for q in range(3)}
     into, out_of = defaultdict(list), defaultdict(list)
-    for (k, dst, src), mat in diff.items():
-        src_level, _, src_at, src_piece = e1.points[src]
-        dst_level, _, dst_at, dst_piece = e1.points[dst]
-        if k == 1 and src_level == 0:
-            into[dst].append((src, mat))
-        if k == 1 and dst_level == 2:
-            out_of[src].append((dst, mat))
-        if dst_level == src_level or not (src_piece.shape[1] and dst_piece.shape[1]):
-            continue
-        target = blocks[(src_level, k - src_level)] if dst_level == src_level + 1 else skips[k]
-        target[dst_at : dst_at + dst_piece.shape[1], src_at : src_at + src_piece.shape[1]] += (
-            dst_piece.conj().T @ mat @ src_piece
-        )
+    for k, pairs in enumerate(diff):
+        for (dst, src), mat in pairs.items():
+            src_level, _, src_at, src_piece = e1.points[src]
+            dst_level, _, dst_at, dst_piece = e1.points[dst]
+            if k == 1 and src_level == 0:
+                into[dst].append((src, mat))
+            if k == 1 and dst_level == 2:
+                out_of[src].append((dst, mat))
+            if dst_level == src_level or not (src_piece.shape[1] and dst_piece.shape[1]):
+                continue
+            target = blocks[(src_level, k - src_level)] if dst_level == src_level + 1 else skips[k]
+            target[dst_at : dst_at + dst_piece.shape[1], src_at : src_at + src_piece.shape[1]] += (
+                dst_piece.conj().T @ mat @ src_piece
+            )
     if not skips[1].size:
         return blocks, skips
     for block, coh in zip(model.blocks, cohomologies):
@@ -1039,7 +1012,9 @@ def total_torsion(model: BottModel, mode: str = "auto", tol_rel: float = DEFAULT
         ]
         raise FastPathUnavailable(
             "fast path needs all blocks to be circles with nonsingular D; "
-            "offending blocks: " + ", ".join(offenders)
+            f"{len(offenders)} offending block{'s' if len(offenders) > 1 else ''}: "
+            + ", ".join(offenders[:_MISSING_EXAMPLES])
+            + (", ..." if len(offenders) > _MISSING_EXAMPLES else "")
         )
 
     # moduli are accumulated as sums of logs: a product of finite block

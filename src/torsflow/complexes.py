@@ -291,20 +291,10 @@ def map_torsion(
     return complex_torsion(two_term, {0: ker_basis, 1: coker_basis}, tol_rel=tol_rel)
 
 
-def _class_coords(vectors, h_basis, boundary_basis, what, tol_rel):
+def _class_coords(vectors, h_basis, boundary_basis, what):
     """Coordinates of cohomology classes of cocycle columns in the given basis."""
-    if vectors.shape[1] == 0:
-        return np.zeros((h_basis.shape[1], 0), dtype=complex)
     a = np.concatenate([h_basis, boundary_basis], axis=1)
-    if a.shape[1] == 0:
-        if _max_abs(vectors) > 1e-7:
-            raise NotExact(f"{what}: nonzero class in zero cohomology")
-        return np.zeros((0, vectors.shape[1]), dtype=complex)
-    x, _, _, _ = np.linalg.lstsq(a, vectors, rcond=None)
-    resid = _max_abs(a @ x - vectors)
-    if resid > 1e-7 * max(1.0, _max_abs(vectors)):
-        raise NotExact(f"{what}: residual {resid:.3e} expressing a class")
-    return x[: h_basis.shape[1]]
+    return _sub_lift(a, vectors, f"{what}: expressing a class")[: h_basis.shape[1]]
 
 
 def _sub_lift(matrix, rhs, what):
@@ -396,16 +386,14 @@ def ses_torsion(
     for k in range(m + 1):
         hs, ht, hq = h_sub[k], h_tot[k], h_quo[k]
         les_dims += [hs.shape[1], ht.shape[1], hq.shape[1]]
-        i_star = _class_coords(inc[k] @ hs, ht, b_tot[k], f"H^{k} inclusion", tol_rel)
-        j_star = _class_coords(prj[k] @ ht, hq, b_quo[k], f"H^{k} projection", tol_rel)
+        i_star = _class_coords(inc[k] @ hs, ht, b_tot[k], f"H^{k} inclusion")
+        j_star = _class_coords(prj[k] @ ht, hq, b_quo[k], f"H^{k} projection")
         les_diffs += [i_star, j_star]
         if k < m:
             lifts = _sub_lift(prj[k], hq, f"degree {k}: lifting quotient classes")
             dc = total.diff(k) @ lifts
             pulled = _sub_lift(inc[k + 1], dc, f"degree {k}: pulling back coboundaries")
-            delta = _class_coords(
-                pulled, h_sub[k + 1], b_sub[k + 1], f"H^{k} connecting map", tol_rel
-            )
+            delta = _class_coords(pulled, h_sub[k + 1], b_sub[k + 1], f"H^{k} connecting map")
             les_diffs.append(delta)
     # maps are coordinates against orthonormal bases of subquotients; anchor
     # the rank decisions so exact-zero maps full of noise stay rank zero

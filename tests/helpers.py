@@ -309,6 +309,35 @@ def assert_same_span(got, want, tol=1e-10):
     assert np.abs(got @ got.conj().T - want @ want.conj().T).max(initial=0.0) <= tol
 
 
+def model_document(model):
+    """The model as the JSON document `torsflow compute --input` reads."""
+
+    def matrix(a):
+        return [[[z.real, z.imag] for z in row] for row in np.asarray(a, dtype=complex).tolist()]
+
+    blocks = []
+    for b in model.blocks:
+        doc = {"id": b.id, "kind": b.kind, "critical_value": b.critical_value}
+        if b.kind == "circle":
+            doc.update(index=b.index, delta=b.delta, holonomy=list(b.holonomy))
+        else:
+            doc.update(extremal=b.extremal, alpha=list(b.alpha), beta=list(b.beta))
+        blocks.append(doc)
+    rep = model.representation
+    return {
+        "representation": {"dim": rep.dim, "generators": {n: matrix(g) for n, g in rep.generators.items()}},
+        "blocks": blocks,
+        "connections": [
+            {
+                "from": ".".join(c.from_point),
+                "to": ".".join(c.to_point),
+                "orbits": [{"sign": o.sign, "word": list(o.word)} for o in c.orbits],
+            }
+            for c in model.connections
+        ],
+    }
+
+
 def extremal_to_saddle_model(rng, kind):
     """Min torus / Klein bottle feeding a degenerate saddle, m = 2: the beta
     holonomy is chosen so the intra-block maps vanish through the

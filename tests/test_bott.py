@@ -154,6 +154,76 @@ class TestValidateModel:
         )
         assert any("duplicate" in d.message for d in validate_model(model))
 
+    # every licensed cochain component as ((source tier, label), (target
+    # tier, label)) -> kind, tiers 0..4 being minimum circles, minimum tori /
+    # Klein bottles, saddles, maximum tori / Klein bottles, maximum circles
+    LICENSED = [
+        (((0, "w"), (2, "w")), "d1"),
+        (((0, "z"), (2, "z")), "d1"),
+        (((2, "w"), (4, "w")), "d1"),
+        (((2, "z"), (4, "z")), "d1"),
+        (((1, "p"), (2, "w")), "d1"),
+        (((1, "q"), (2, "z")), "d1"),
+        (((1, "r"), (2, "z")), "d1"),
+        (((2, "w"), (3, "q")), "d1"),
+        (((2, "w"), (3, "r")), "d1"),
+        (((2, "z"), (3, "s")), "d1"),
+        (((0, "w"), (3, "p")), "d2"),
+        (((1, "p"), (3, "p")), "d2"),
+        (((0, "z"), (4, "w")), "d2"),
+        (((0, "z"), (3, "q")), "d2"),
+        (((0, "z"), (3, "r")), "d2"),
+        (((1, "q"), (4, "w")), "d2"),
+        (((1, "q"), (3, "q")), "d2"),
+        (((1, "q"), (3, "r")), "d2"),
+        (((1, "r"), (4, "w")), "d2"),
+        (((1, "r"), (3, "q")), "d2"),
+        (((1, "r"), (3, "r")), "d2"),
+        (((1, "s"), (3, "s")), "d2"),
+        (((1, "s"), (4, "z")), "d2"),
+    ]
+
+    def test_licensing_rule_is_pinned(self):
+        from torsflow import bott
+
+        assert bott._LICENSED == dict(self.LICENSED)
+        # the missing-connection summary quotes gaps in this order within a
+        # tier pair, so the order is part of the warning text
+        for pair in {(src[0], dst[0]) for (src, dst), _ in self.LICENSED}:
+            want = [key for key, _ in self.LICENSED if (key[0][0], key[1][0]) == pair]
+            got = [key for key in bott._LICENSED if (key[0][0], key[1][0]) == pair]
+            assert got == want, pair
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(kind="sphere"), "unknown kind 'sphere'"),
+            (dict(kind="circle", index=3, delta=1), "circle index must be 0, 1 or 2"),
+            (dict(kind="circle", index=None, delta=1), "circle index must be 0, 1 or 2"),
+            (dict(kind="circle", index=0, delta=0), "delta must be"),
+            (dict(kind="torus", extremal="middle"), "extremal must be 'min' or 'max'"),
+            (dict(kind="klein", extremal="max", delta=1), "tori and Klein bottles carry no delta"),
+        ],
+    )
+    def test_block_constructor_rejects_bad_fields(self, fields, message):
+        with pytest.raises(InvalidInput, match=message):
+            CriticalBlock("b", **fields)
+
+    @pytest.mark.parametrize(
+        "block, label",
+        [
+            (CriticalBlock("c", "circle", index=1, delta=1), "p"),
+            (CriticalBlock("T", "torus", extremal="min"), "w"),
+        ],
+    )
+    def test_unknown_label_has_no_point_index(self, block, label):
+        with pytest.raises(InvalidInput, match=f"has no point labelled '{label}'"):
+            block.point_index(label)
+
+    def test_orbit_sign_zero_is_rejected(self):
+        with pytest.raises(InvalidInput, match="orbit sign must be"):
+            Orbit(0, ("g",))
+
 
 class TestBlockCohomology:
     def test_minimal_circle_trivial_holonomy(self):
@@ -468,6 +538,14 @@ class TestTotalTorsion:
             assert np.log(value) == pytest.approx(np.log(2e-11), abs=1e-8)
         with pytest.raises(FastPathUnavailable, match=r"m \(singular D\)"):
             total_torsion(model, mode="fast")
+
+    def test_fast_unavailable_quotes_three_blocks_and_the_count(self):
+        with pytest.raises(FastPathUnavailable) as err:
+            total_torsion(kovalevskaya_replica(24, 1), mode="fast")
+        message = str(err.value)
+        assert "96 offending blocks: " in message
+        quoted = message.split("offending blocks: ")[1]
+        assert quoted == "k0m1 (singular D), k0m2 (singular D), k1m1 (singular D), ..."
 
     def test_bad_mode(self):
         with pytest.raises(InvalidInput):

@@ -6,7 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from torsflow.cli import BROKEN_PIPE_EXIT, main
+from helpers import extremal_to_saddle_model, model_document, quotient_target_model
+from torsflow import total_torsion
+from torsflow.cli import BROKEN_PIPE_EXIT, main, report_to_dict
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 KOVALEVSKAYA = os.path.join(DATA, "kovalevskaya.json")
@@ -157,6 +159,39 @@ def test_tolerance_env_and_flag(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("TORSFLOW_TOLERANCE", "banana")
     code, _, err = run(capsys, ["compute", "--input", KOVALEVSKAYA])
     assert code == 2
+    monkeypatch.setenv("TORSFLOW_TOLERANCE", "2")
+    code, _, err = run(capsys, ["compute", "--input", KOVALEVSKAYA])
+    assert code == 2
+    assert "tolerance must lie in (0, 1), got 2.0" in err
+
+
+@pytest.mark.parametrize("lens", ["7", "a,b"])
+def test_malformed_lens_exits_2(capsys, lens):
+    code, out, err = run(capsys, ["oracle", "--lens", lens])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --lens expects")
+
+
+@pytest.mark.parametrize("name", ["torus", "klein", "quotient"])
+def test_extremal_block_documents(tmp_path, capsys, monkeypatch, name):
+    # torus and Klein-bottle blocks read from a document give the report of
+    # the model built in code
+    rng = np.random.default_rng(5)
+    model = quotient_target_model(rng) if name == "quotient" else extremal_to_saddle_model(rng, name)[0]
+    monkeypatch.delenv("TORSFLOW_TOLERANCE", raising=False)
+    doc = model_document(model)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["compute", "--input", str(path), "--format", "json"])
+    assert code == 0, err
+    assert json.loads(out) == report_to_dict(total_torsion(model))
+    extremal = next(b for b in doc["blocks"] if b["kind"] != "circle")
+    extremal["extremal"] = "middle"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["compute", "--input", str(path), "--format", "json"])
+    assert code == 3
+    assert "extremal must be 'min' or 'max'" in err
 
 
 def test_rep_document_with_complex_entries(tmp_path, capsys):
