@@ -151,11 +151,13 @@ def cohomology_dims(c: BasedComplex, tol_rel: float = DEFAULT_TOL) -> tuple[int,
     return tuple(b.shape[1] for b in cohomology_bases(c, tol_rel))
 
 
-def _harmonic_bases(c: BasedComplex, tol_rel: float, skip=()) -> tuple[list, list, list]:
-    """One rank decision per differential; from those decisions the basis
-    of each im d^(i-1) and, in every degree not in `skip` (None there), the
+def _harmonic_bases(c: BasedComplex, tol_rel: float, skip=(), known=None) -> tuple[list, list, list]:
+    """One rank decision per differential, or the caller's in `known` (keyed
+    by degree, made at c.rank_scale); from those decisions the basis of
+    each im d^(i-1) and, in every degree not in `skip` (None there), the
     harmonic basis H^i = ker d^i cut against im d^(i-1)."""
-    ranks = [rank_nullspace(c.diff(i), tol_rel, scale=c.rank_scale) for i in range(len(c.dims))]
+    known = known or {}
+    ranks = [known.get(i) or rank_nullspace(c.diff(i), tol_rel, scale=c.rank_scale) for i in range(len(c.dims))]
     bounds = [np.zeros((c.dim(0), 0), dtype=complex)] + [res.range_basis for res in ranks[:-1]]
     bases = [
         None if i in skip else _within(ranks[i].kernel_basis, bounds[i], tol_rel)

@@ -17,13 +17,17 @@ realised concretely as orthonormal column bases of subquotient
 representatives inside the ambient degree spaces: representatives are the
 vectors of the numerator orthogonal to the denominator. Each subspace is
 one rank decision on one operator at its own scale: Z_r(n, k) is the
-kernel of d restricted to F_n and the rows of F_n outside F_{n+r}, d Z_{r-1}
-is cut alone, and both orthonormal pieces meet Z_r in _within, once per
-distinct subspace and per distinct cut. d-stability answers the rest
-without a rank decision: Z(n, t) = F_n for t <= n, so E_0 is the
-coordinate grading (the basis vectors of level exactly n). The
-differential d_r maps E_r(n, q) to E_r(n+r, q-r+1) and is obtained by
-conjugating the ambient differential with those representative bases.
+kernel of d restricted to F_n and the rows of F_n outside F_{n+r}, and
+d Z_{r-1} is cut alone. A subspace is keyed by the rows it selects, so
+two ladder steps that select the same rows share one decision. The
+representatives are cut in two stages, Z_r(n, k) against
+Z_{r-1}(n+1, k), which lies inside it and so leaves a known dimension,
+and then against d Z_{r-1}; each stage runs once per distinct pair of
+subspaces. d-stability answers the rest without a rank decision:
+Z(n, t) = F_n for t <= n, so E_0 is the coordinate grading (the basis
+vectors of level exactly n). The differential d_r maps E_r(n, q) to
+E_r(n+r, q-r+1) and is obtained by conjugating the ambient differential
+with those representative bases.
 
 Each page, graded by total degree n+q, is itself a based complex: the
 direct sum of its d_r blocks. Torsion is multiplicative over direct sums
@@ -37,8 +41,10 @@ representatives, written in page-r coordinates C, are not orthonormal
 there; each slot adds (-1)^(n+q+1) log|det(H^H C)| for them. The product
 over all pages reproduces the torsion of the base complex relative to the
 cohomology basis induced by the last page. filtered_pages verifies that
-identity to 1e-8 relative on every call, against a direct complex_torsion
-of the base complex.
+identity to 1e-8 relative on every call, against a direct torsion of the
+base complex; where the ladder's scale is the check's (anchor >= 1), the
+check takes the ladder's decision on each whole d^k instead of deciding
+it again.
 """
 from __future__ import annotations
 
@@ -53,8 +59,9 @@ from .complexes import (
     RELATIVE_NOTE,
     BasedComplex,
     TorsionScalar,
+    _dims_and_torsion,
+    _harmonic_bases,
     _within,
-    complex_torsion,
     modulus_from_log,
 )
 from .errors import InvalidFiltration, TorsionError
@@ -186,7 +193,7 @@ class SpectralResult:
 
 
 def _zspace(
-    fc: FilteredComplex, member: int, target: int, k: int, tol_rel: float, anchor: float
+    fc: FilteredComplex, member: int, target: int, k: int, tol_rel: float, anchor: float, decided=None
 ) -> np.ndarray:
     """Orthonormal basis of {x in F_member^k : dx in F_target^{k+1}}.
 
@@ -199,7 +206,9 @@ def _zspace(
     itself; so for target at or below member the answer is F_member's
     coordinate columns, and no rank decision is made. The rows left out
     hold only level-lowering entries, which FilteredComplex holds as exact
-    zeros, so leaving them out is exact at every tolerance.
+    zeros, so leaving them out is exact at every tolerance. A decision on
+    the whole of d^k (every column, every row) is also put in `decided`
+    under k, when that dict is given.
     """
     dim = fc.base.dim(k)
     if member >= fc.num_levels or k < 0 or k >= len(fc.base.dims):
@@ -214,7 +223,10 @@ def _zspace(
         kernel = np.eye(int(cols.sum()), dtype=complex)
     else:
         restricted = fc.base.diff(k)[np.ix_(rows, cols)]
-        kernel = rank_nullspace(restricted, tol_rel, scale=max(1.0, anchor)).kernel_basis
+        res = rank_nullspace(restricted, tol_rel, scale=max(1.0, anchor))
+        if decided is not None and cols.all() and rows.all():
+            decided[k] = res
+        kernel = res.kernel_basis
     z = np.zeros((dim, kernel.shape[1]), dtype=complex)
     z[cols] = kernel
     return z
@@ -230,25 +242,35 @@ def _slots(fc: FilteredComplex):
 class _Ladder:
     """The cocycle ladder of one filtered_pages call.
 
-    Each subspace Z(member, target, k), each image d Z and each
-    representative cut is decided once per distinct clamped key and kept
+    A key (member, target, k) names the rows of d^k it selects: target is
+    clamped to 1 + the highest level present among the degree-(k+1) rows
+    in [member, target), or to member if none is, so keys that select the
+    same rows are one key. Each subspace Z, each image d Z and each stage
+    of each representative cut is decided once per distinct key and kept
     in one plain dict. Nothing in it refers back to the ladder, so it dies
     with the call rather than with the cyclic collector. Past r = L every
-    key repeats page L's.
+    key repeats page L's. The decision on the whole of d^k, the key
+    (0, L, k), is kept in `decided` for the direct check.
     """
 
     def __init__(self, fc: FilteredComplex, tol_rel: float, anchor: float):
         self.fc, self.tol_rel, self.anchor = fc, tol_rel, anchor
         self.cache: dict = {}
+        self.decided: dict = {}
+        # the levels present among each degree's rows, highest first
+        self.row_levels = [sorted(set(lv.tolist()), reverse=True) for lv in fc.levels[1:]] + [[]]
 
     def key(self, member: int, target: int, k: int) -> tuple:
-        return (max(member, 0), min(max(target, 0), self.fc.num_levels), k)
+        member = max(member, 0)
+        present = self.row_levels[k] if 0 <= k < len(self.row_levels) else []
+        top = next((n for n in present if member <= n < target), None)
+        return (member, member if top is None else top + 1, k)
 
     def zspace(self, key: tuple, image: bool = False) -> np.ndarray:
         """Z at a clamped key, or with `image` a basis of d Z."""
         cache = self.cache
         if key not in cache:
-            cache[key] = _zspace(self.fc, *key, self.tol_rel, self.anchor)
+            cache[key] = _zspace(self.fc, *key, self.tol_rel, self.anchor, self.decided)
         if not image:
             return cache[key]
         if (key, "image") not in cache:
@@ -256,11 +278,30 @@ class _Ladder:
             cache[(key, "image")] = range_basis(d @ cache[key], self.tol_rel, scale=max(1.0, self.anchor))
         return cache[(key, "image")]
 
+    def outside(self, pair: tuple, r: int, slot: tuple) -> np.ndarray:
+        """The vectors of Z (at pair[0]) orthogonal to Z' (at pair[1]). Z'
+        lies inside Z, so the answer has dim Z - dim Z' columns: Z' all of Z
+        leaves nothing and Z' = 0 leaves Z, with no rank decision; any other
+        cut that misses that count raises TorsionError, naming the page and
+        slot."""
+        cache = self.cache
+        if pair not in cache:
+            z, inner = self.zspace(pair[0]), self.zspace(pair[1])
+            want = z.shape[1] - inner.shape[1]
+            cut = z[:, :want] if want in (0, z.shape[1]) else _within(z, inner, self.tol_rel)
+            if cut.shape[1] != want:
+                raise TorsionError(f"page {r}, slot {slot}: Z_{r - 1} at {pair[1]} not inside Z_{r} at {pair[0]}")
+            cache[pair] = cut
+        return cache[pair]
+
     def page(self, r: int) -> dict:
         """Representatives of E_r(n, k - n), keyed (n, k): the vectors of
         Z_r(n, k) orthogonal to Z_{r-1}(n+1, k) + d Z_{r-1}(n-r+1, k-1).
         E_0 is the coordinate grading, the basis vectors of level exactly n
-        (d F_{n+1} lies in F_{n+1}), so page 0 makes no rank decision."""
+        (d F_{n+1} lies in F_{n+1}), so page 0 makes no rank decision. The
+        cut runs in two stages, Z against Z_{r-1}(n+1, k) and then against
+        the image: the first piece lies inside Z, so its cut has a known
+        dimension (see outside)."""
         fc, cache = self.fc, self.cache
         if r == 0:
             return {(n, k): np.eye(fc.base.dim(k), dtype=complex)[:, fc.levels[k] == n] for n, k in _slots(fc)}
@@ -273,11 +314,10 @@ class _Ladder:
                 continue
             cut = (zkey, self.key(n + 1, n + r, k), self.key(n - r + 1, n, k - 1) if k >= 1 else None)
             if cut not in cache:
-                # the denominator's two pieces, each orthonormal at its own scale
-                denom = [self.zspace(cut[1])]
-                if cut[2] is not None:
-                    denom.append(self.zspace(cut[2], image=True))
-                cache[cut] = _within(z, np.concatenate(denom, axis=1), self.tol_rel)
+                rest = self.outside(cut[:2], r, (n, k - n))
+                if cut[2] is not None and rest.shape[1]:
+                    rest = _within(rest, self.zspace(cut[2], image=True), self.tol_rel)
+                cache[cut] = rest
             reps[(n, k)] = cache[cut]
         return reps
 
@@ -337,9 +377,13 @@ def filtered_pages(fc: FilteredComplex, tol_rel: float = DEFAULT_TOL) -> Spectra
     # at least one level, so every degree has slots to concatenate
     h_bases = {k: np.concatenate([limit[(n, k)] for n in range(L)], axis=1) for k in degrees}
     anchored = BasedComplex(base.dims, base.diffs, rank_scale=anchor)
-    direct = complex_torsion(anchored, h_bases, tol_rel=tol_rel)
+    # the ladder decided each whole d^k at scale max(1, anchor); where that
+    # is the check's own scale, its decisions are the check's
+    known = ladder.decided if anchor >= 1.0 else None
+    decided = _harmonic_bases(anchored, tol_rel, skip=h_bases, known=known)
+    direct = _dims_and_torsion(anchored, h_bases, None, tol_rel, decided=decided)[1]
 
-    # complex_torsion has checked each limit basis against dim H^k
+    # _dims_and_torsion has checked each limit basis against dim H^k
     rel = abs(product - direct.modulus) / max(direct.modulus, 1e-300)
     h_dims = tuple(h_bases[k].shape[1] for k in degrees)
     if not (rel <= 1e-8):

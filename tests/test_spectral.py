@@ -10,7 +10,9 @@ from torsflow import (
     BasedComplex,
     FilteredComplex,
     InvalidFiltration,
+    InvalidInput,
     Representation,
+    TorsionError,
     assemble_complex,
     cohomology_dims,
     complex_torsion,
@@ -18,6 +20,7 @@ from torsflow import (
 )
 from torsflow.complexes import _within
 from torsflow.linalg import rank_nullspace
+from torsflow import spectral
 from torsflow.spectral import _Ladder, _page_step, _zspace
 from helpers import (
     assert_same_span,
@@ -151,9 +154,27 @@ def test_nan_torsion_fails_product_check(monkeypatch):
     from torsflow import TorsionError, TorsionScalar, spectral
 
     fc = random_filtered_complex(np.random.default_rng(4))
-    monkeypatch.setattr(spectral, "complex_torsion", lambda *a, **k: TorsionScalar(float("nan")))
+    monkeypatch.setattr(spectral, "_dims_and_torsion", lambda *a, **k: ((), TorsionScalar(float("nan"))))
     with pytest.raises(TorsionError, match="page torsion product"):
         filtered_pages(fc)
+
+
+@pytest.mark.parametrize("scale, reused", [(0.5, []), (2.0, [0])])
+def test_direct_check_reuses_ladder_decisions_only_at_its_own_scale(monkeypatch, scale, reused):
+    # the ladder decides the whole d^k at max(1, anchor), the direct check
+    # at anchor: below anchor 1 the check must decide d^k itself
+    seen = []
+    original = spectral._harmonic_bases
+
+    def spy(c, tol_rel, skip=(), known=None):
+        seen.append(sorted(known or {}))
+        return original(c, tol_rel, skip=skip, known=known)
+
+    monkeypatch.setattr(spectral, "_harmonic_bases", spy)
+    base = BasedComplex([2, 2], [np.diag([scale, scale / 2])])
+    res = filtered_pages(FilteredComplex(base, [np.array([0, 1])] * 2, 2))
+    assert seen == [reused]
+    assert res.total.modulus == pytest.approx(scale * scale / 2, rel=1e-12)
 
 
 def test_rank_scale_anchors_page_rank_decisions():
@@ -219,13 +240,15 @@ def test_zspace_matches_the_stacked_membership_kernel():
 
 def test_svd_count_on_the_morse_complex(monkeypatch):
     # trivial-representation Kovalevskaya Morse complex, three levels:
-    # 10 restricted kernels Z, 13 image ranges d Z (one per clamped key),
-    # 13 ladder intersections (one per distinct key triple; E_0 is the
-    # coordinate grading and page L + 1 repeats page L, so neither cuts),
-    # 8 page-step block decisions and no page-step intersection (a slot
-    # with only an incoming d_r takes that block's cokernel), and in the
-    # direct check 3 differentials and 4 independence checks of the
-    # supplied limit bases
+    # 9 restricted kernels Z and 9 image ranges d Z (one per key, keys
+    # naming the rows they select), 5 cuts of Z against Z_{r-1}(n+1) (the
+    # others are all of Z or nothing, and cost none) and 2 cuts of those
+    # against an image (E_0 is the coordinate grading and page L + 1
+    # repeats page L, so neither cuts), 8 page-step block decisions and no
+    # page-step intersection (a slot with only an incoming d_r takes that
+    # block's cokernel), and in the direct check 4 independence checks of
+    # the supplied limit bases; its 3 differentials are the ladder's
+    # decisions on the whole d^k
     fc = assemble_complex(kovalevskaya_model(Representation(1, {"g": [[1.0]]})))
     calls = []
     original = np.linalg.svd
@@ -237,7 +260,7 @@ def test_svd_count_on_the_morse_complex(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counted)
     res = filtered_pages(fc)
     assert res.total.modulus == pytest.approx(0.2, rel=1e-12)
-    assert len(calls) == 51
+    assert len(calls) == 37
 
 
 @pytest.mark.parametrize("rank", [0, 2, 3])
@@ -333,6 +356,90 @@ def test_ladder_page_past_the_last_level_costs_no_svd(monkeypatch):
     assert calls == []
     assert beyond.keys() == last.keys()
     assert all(beyond[key] is last[key] for key in last)
+
+
+def _ladder(fc, tol_rel=1e-10):
+    return _Ladder(fc, tol_rel, max(fc.base.rank_scale, fc.base.operator_scale()))
+
+
+def test_two_stage_cut_spans_the_concatenated_cut():
+    # reference: Z cut once against Z_{r-1}(n+1) and the image side by side
+    rng = np.random.default_rng(42)
+    cases = [random_filtered_complex(rng) for _ in range(8)]
+    cases += [random_acyclic_filtered_complex(rng) for _ in range(8)]
+    nonzero = 0
+    for fc in cases:
+        ladder = _ladder(fc)
+        for r in range(1, fc.num_levels + 1):
+            reps = ladder.page(r)
+            for n, k in reps:
+                z = ladder.zspace(ladder.key(n, n + r, k))
+                denom = [ladder.zspace(ladder.key(n + 1, n + r, k))]
+                if k >= 1:
+                    denom.append(ladder.zspace(ladder.key(n - r + 1, n, k - 1), image=True))
+                assert_same_span(reps[(n, k)], _within(z, np.concatenate(denom, axis=1), 1e-10))
+                nonzero += reps[(n, k)].shape[1]
+    assert nonzero > 50
+
+
+def test_cocycles_outside_z_are_caught(monkeypatch):
+    # Z_{r-1}(n+1, k) lies inside Z_r(n, k); a piece outside it must not be
+    # cut away silently
+    fc = random_filtered_complex(np.random.default_rng(38), num_levels=3)
+    ladder = _ladder(fc)
+    r, n, k = next(
+        (r, n, k)
+        for r in range(1, fc.num_levels + 1)
+        for n, k in ladder.page(r)
+        if ladder.zspace(ladder.key(n, n + r, k)).shape[1] < fc.base.dim(k)
+        and 0 < ladder.zspace(ladder.key(n + 1, n + r, k)).shape[1]
+        < ladder.zspace(ladder.key(n, n + r, k)).shape[1]
+    )
+    z = ladder.zspace(ladder.key(n, n + r, k))
+    inner_key = ladder.key(n + 1, n + r, k)
+    inner = ladder.zspace(inner_key)
+    # as many vectors as Z_{r-1}(n+1, k) has, one of them orthogonal to Z
+    outside = np.concatenate([rank_nullspace(z.conj().T).kernel_basis[:, :1], inner[:, 1:]], axis=1)
+    original = _Ladder.zspace
+
+    def patched(self, key, image=False):
+        if key == inner_key and not image:
+            return outside
+        return original(self, key, image)
+
+    monkeypatch.setattr(_Ladder, "zspace", patched)
+    with pytest.raises(TorsionError, match=rf"page {r}, slot \({n}, {k - n}\): .* not inside"):
+        _ladder(fc).page(r)
+
+
+def test_keys_selecting_the_same_rows_share_one_zspace(monkeypatch):
+    # degree-1 rows sit at levels 0 and 2 only: the targets 1 and 2 select
+    # the same rows out of F_0, as do 3 and every target past the last level
+    d = np.array([[1.0, 0.0], [0.0, 2.0]])
+    fc = FilteredComplex(BasedComplex([2, 2], [d]), [np.array([0, 1]), np.array([0, 2])], 3)
+    ladder = _ladder(fc)
+    calls = []
+    original = spectral._zspace
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:4])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "_zspace", counted)
+    assert ladder.key(0, 1, 0) == ladder.key(0, 2, 0) == (0, 1, 0)
+    assert ladder.key(0, 3, 0) == ladder.key(0, 7, 0) == (0, 3, 0)
+    for target in range(8):
+        ladder.zspace(ladder.key(0, target, 0))
+    assert calls == [(0, 0, 0), (0, 1, 0), (0, 3, 0)]
+
+
+@pytest.mark.parametrize("tol_rel", [0.0, 1.0, 2.0, float("nan")])
+def test_filtered_pages_rejects_a_bad_tolerance(tol_rel):
+    trivial = FilteredComplex(BasedComplex([0, 0], [np.zeros((0, 0))]), [np.zeros(0, int)] * 2, 2)
+    one = FilteredComplex(BasedComplex([1, 1], [np.array([[3.0]])]), [np.array([0]), np.array([1])], 2)
+    for fc in (trivial, one):
+        with pytest.raises(InvalidInput, match="tol_rel"):
+            filtered_pages(fc, tol_rel=tol_rel)
 
 
 def test_filtered_pages_leaves_no_reference_cycles():
