@@ -43,9 +43,14 @@ prod |det D_i|^((-1)^u_i), available as the fast path.
 
 total_torsion never forms the dense Morse complex (assemble_complex does,
 for filtered_pages). The differential is held as m x m blocks, one per
-point pair: d*d = 0 is checked on the block products, the reduced operator
-is summed block by block into the E_1 slots, and the operator norm that
-anchors the page decisions comes from Gram matrices summed block by block.
+point pair: d*d = 0 is checked on the block products, and the reduced
+operator is summed block by block into the E_1 slots. The model falls into
+connected components (blocks joined by connections), and the Morse complex
+and every page are direct sums over them. E_1 columns run component by
+component within each level, so the page differentials are block
+diagonal, and each page decision is made part by part at the whole
+matrix's threshold; the operator norm that anchors them is the largest of
+the components' norms.
 """
 from __future__ import annotations
 
@@ -77,7 +82,7 @@ from .errors import (
     NotAComplex,
     TorsionError,
 )
-from .linalg import DEFAULT_TOL, RankResult, _rank_nullspaces, block_operator_norm
+from .linalg import DEFAULT_TOL, RankResult, _largest_norm, _rank_nullspaces
 from .representation import Representation, parse_word
 from .spectral import FilteredComplex, _page_note, _page_step
 
@@ -669,11 +674,75 @@ def _check_square_zero(diff: list, cohomologies) -> None:
             )
 
 
-def _morse_anchor(diff: list) -> float:
+def _components(model: BottModel) -> dict:
+    """The connected component of each block, by block id: union-find over
+    the connections. Labels count up from 0 in the order of each
+    component's first block in model order."""
+    index = {b.id: j for j, b in enumerate(model.blocks)}
+    parent = list(range(len(model.blocks)))
+
+    def root(j):
+        while parent[j] != j:
+            parent[j] = j = parent[parent[j]]
+        return j
+
+    for conn in model.connections:
+        a, b = root(index[conn.from_point[0]]), root(index[conn.to_point[0]])
+        # the smaller index is the root, so a component's root is its first block
+        parent[max(a, b)] = min(a, b)
+    labels: dict = {}
+    return {b.id: labels.setdefault(root(j), len(labels)) for j, b in enumerate(model.blocks)}
+
+
+def _morse_anchor(diff: list, component: dict) -> float:
     """max(1, operator norm of the Morse differential), the anchor of the
-    rank decisions on the Morse complex and on its pages: the largest
-    norm of one degree's blocks (linalg.block_operator_norm)."""
-    return max([1.0] + [block_operator_norm(pairs) for pairs in diff])
+    rank decisions on the Morse complex and on its pages.
+
+    No block of the differential joins two connected components, so each
+    degree is the direct sum of its components' pieces and its norm is the
+    largest of theirs. Each piece fills a dense matrix of its own, the
+    pieces of one shape (over all degrees) one stack, and
+    linalg._largest_norm takes the largest norm from Gram matrices, one
+    eigvalsh call per Gram size.
+    """
+    # a point's position among its piece's points, rows then columns; a
+    # point has one Morse index, so it lies in one degree on each side
+    at: tuple = ({}, {})
+    count: dict = defaultdict(lambda: [0, 0])
+    where, mats = [], []
+    for k, pairs in enumerate(diff):
+        for (dst, src), mat in pairs.items():
+            piece = (k, component[src[0]])
+            for side, point in enumerate((dst, src)):
+                if point not in at[side]:
+                    at[side][point] = count[piece][side]
+                    count[piece][side] += 1
+            where.append((piece, at[0][dst], at[1][src]))
+            mats.append(mat)
+    if not mats:
+        return 1.0
+    shapes: dict = defaultdict(list)
+    slot = {}
+    for piece, shape in count.items():
+        slot[piece] = len(shapes[tuple(shape)])
+        shapes[tuple(shape)].append(piece)
+    group = {shape: g for g, shape in enumerate(shapes)}
+    gid, pos, rows, cols = np.array([(group[tuple(count[p])], slot[p], r, c) for p, r, c in where]).T
+    # every block is m x m
+    mats = np.array(mats)
+    m = mats.shape[1]
+    span = np.arange(m)
+    stacks = []
+    for g, ((height, width), pieces) in enumerate(shapes.items()):
+        pick = gid == g
+        stack = np.zeros((len(pieces), height * m, width * m), dtype=complex)
+        stack[
+            pos[pick][:, None, None],
+            (rows[pick] * m)[:, None, None] + span[:, None],
+            (cols[pick] * m)[:, None, None] + span,
+        ] = mats[pick]
+        stacks.append(stack)
+    return max(1.0, _largest_norm(stacks))
 
 
 def assemble_complex(
@@ -703,7 +772,7 @@ def assemble_complex(
             diffs[k][rows, cols] = mat
 
     try:
-        base = BasedComplex(dims, diffs, rank_scale=_morse_anchor(diff))
+        base = BasedComplex(dims, diffs, rank_scale=_morse_anchor(diff, _components(model)))
     except NotAComplex as err:
         raise _not_a_complex(str(err), cohomologies) from err
     blocks = model.block_map()
@@ -724,37 +793,50 @@ def assemble_complex(
 class E1Data:
     """First page assembled from the block cohomologies.
 
-    E_1 in Morse degree k has its columns grouped by level and within a
-    level by block in model order; cols[(level, k)] is the column range of
-    one level. points[(block id, label)] = (level, k, offset, piece): piece
-    is the point's m fiber rows of its block's degree-k cohomology basis,
-    which fill the slot (level, k) from column offset on. anchor is
-    max(1, operator norm of the Morse differential).
+    E_1 in Morse degree k has its columns grouped by level, within a level
+    by connected component (blocks joined by connections, in the order of
+    their first blocks) and within a component by block in model order;
+    cols[(level, k)] is the column range of one level, and
+    parts[(level, k)] its width in each component, 0 where a component has
+    none (components with no E_1 at all are left out). points[(block id,
+    label)] = (level, k, offset, piece): piece is the point's m fiber rows
+    of its block's degree-k cohomology basis, which fill the slot (level,
+    k) from column offset on. anchor is max(1, operator norm of the Morse
+    differential).
     """
 
     cols: dict
     points: dict
     anchor: float
+    parts: dict
 
     def dims(self) -> dict:
         """Page dimension of every slot (level, q), levels outermost."""
         return {(level, k - level): s.stop - s.start for (level, k), s in self.cols.items()}
 
+    def part_dims(self) -> dict:
+        """Part sizes of every slot (level, q), one per component."""
+        return {(level, k - level): sizes for (level, k), sizes in self.parts.items()}
 
-def _build_e1(model, cohomologies, anchor: float) -> E1Data:
+
+def _build_e1(model, cohomologies, anchor: float, component: dict) -> E1Data:
     m = model.representation.dim
-    width = Counter()
-    for block, coh in zip(model.blocks, cohomologies):
+    # component-major, and model order within a component (a stable sort)
+    order = sorted(zip(model.blocks, cohomologies), key=lambda pair: component[pair[0].id])
+    parts = {(level, k): [0] * len(set(component.values())) for level in range(3) for k in range(4)}
+    for block, coh in order:
         for k, b in coh.bases.items():
-            width[(block.level, k)] += b.shape[1]
+            parts[(block.level, k)][component[block.id]] += b.shape[1]
+    keep = [c for c, widths in enumerate(zip(*parts.values())) if any(widths)]
+    parts = {key: [sizes[c] for c in keep] for key, sizes in parts.items()}
     cols = {}
     for level in range(3):
         for k in range(4):
-            start = sum(width[(lower, k)] for lower in range(level))
-            cols[(level, k)] = slice(start, start + width[(level, k)])
+            start = sum(sum(parts[(lower, k)]) for lower in range(level))
+            cols[(level, k)] = slice(start, start + sum(parts[(level, k)]))
     offset = Counter()
     points = {}
-    for block, coh in zip(model.blocks, cohomologies):
+    for block, coh in order:
         # a degree's basis stacks the fibers of the block's points of that
         # index in label order (q above r for extremal blocks)
         level = block.level
@@ -765,7 +847,7 @@ def _build_e1(model, cohomologies, anchor: float) -> E1Data:
             used[k] += m
         for k, b in coh.bases.items():
             offset[(level, k)] += b.shape[1]
-    return E1Data(cols=cols, points=points, anchor=anchor)
+    return E1Data(cols=cols, points=points, anchor=anchor, parts=parts)
 
 
 @dataclass
@@ -849,7 +931,8 @@ def assemble_d1(
         cohomologies = _block_cohomologies(model.blocks, model.representation, tol_rel)
     diff = _morse_differential(model, cohomologies)
     _check_square_zero(diff, cohomologies)
-    e1 = _build_e1(model, cohomologies, _morse_anchor(diff))
+    component = _components(model)
+    e1 = _build_e1(model, cohomologies, _morse_anchor(diff, component), component)
 
     warnings = [w for coh in cohomologies for w in coh.warnings]
     warnings += _missing_connection_warnings(model)
@@ -913,16 +996,18 @@ def _reduced_operator(model, cohomologies, diff, e1) -> tuple:
 @dataclass
 class PageTwo:
     """Second page: orthonormal bases of ker d1 / im d1 in E_1 coordinates,
-    and the log-torsion of the first page relative to them."""
+    the log-torsion of the first page relative to them, and the part sizes
+    of every slot (level, q), one per component as in E1Data.parts."""
 
     bases: dict
     d1: D1Data
     log_torsion: float
+    parts: dict
 
 
 def page_two(d1: D1Data, tol_rel: float = DEFAULT_TOL) -> PageTwo:
-    bases, log_tau = _page_step(d1.e1.dims(), d1.blocks, 1, tol_rel, d1.e1.anchor)
-    return PageTwo(bases=bases, d1=d1, log_torsion=log_tau)
+    bases, log_tau, parts = _page_step(d1.e1.part_dims(), d1.blocks, 1, tol_rel, d1.e1.anchor)
+    return PageTwo(bases=bases, d1=d1, log_torsion=log_tau, parts=parts)
 
 
 def assemble_d2(page2: PageTwo) -> dict:
@@ -987,6 +1072,13 @@ def total_torsion(model: BottModel, mode: str = "auto", tol_rel: float = DEFAULT
     the page-by-page pipeline. mode "auto" runs the full pipeline and
     cross-checks the fast product whenever it is legal; the two logs must
     agree to 1e-8.
+
+    The pages are direct sums over the model's connected components, and
+    torsion is multiplicative over direct sums (Milnor 1966): every d1, d2
+    and next-page cut is decided component by component, the parts of one
+    shape in one LAPACK call, each at the threshold its whole E_1-slot
+    matrix would get, so ranks and pages do not depend on the split. A
+    model of one component makes the whole-matrix decisions.
 
     Acyclic totals are canonical. Non-acyclic (relative) totals are
     measured in E_1 coordinates, on the block cohomology bases; they can
@@ -1066,7 +1158,7 @@ def total_torsion(model: BottModel, mode: str = "auto", tol_rel: float = DEFAULT
     # third page: cohomology of (E_2, d_2); levels 0 and 2 move, level 1 is stable
     with _stage("second page", model):
         d2 = {(0, q): mat for q, mat in assemble_d2(page2).items()}
-        page3, log_d2 = _page_step(e2_dims_full, d2, 2, tol_rel, d1.e1.anchor)
+        page3, log_d2, _ = _page_step(page2.parts, d2, 2, tol_rel, d1.e1.anchor)
     tau_d2 = TorsionScalar(modulus_from_log(log_d2, "tau_d2"), _page_note(page3))
 
     einf_dims = {key: b.shape[1] for key, b in page3.items() if b.shape[1]}

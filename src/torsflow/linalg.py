@@ -27,8 +27,12 @@ Conventions
   and each matrix keeps its own threshold, rank and ambiguity flag, so
   each RankResult equals the lone decision of its matrix bit for bit.
   rank_nullspace is the stack of one; there is no second cut.
-* block_operator_norm reads a matrix from its nonzero blocks, so a norm
-  of a large block-sparse operator needs no dense copy of it.
+* A block-diagonal matrix is decided part by part (_rank_parts), the
+  parts of one shape as one stack through the same cut. The singular
+  values of a direct sum are those of its parts, so each part is cut at
+  the whole matrix's threshold and its rank is its share of the whole's.
+* Operator norms come from Gram matrices (_largest_norm), all Gram
+  matrices of one size in one eigvalsh call; no SVD runs.
 """
 from __future__ import annotations
 
@@ -125,42 +129,67 @@ def _svd(stack: np.ndarray, full: bool = True):
     return np.linalg.svd(stack, full_matrices=full)
 
 
-def _cut(stack: np.ndarray, tol_rel: float, scale: float, full: bool = True, stacklevel: int = 3):
-    """The SVDs of an (n, rows, cols) stack (thin unless full), and per
-    matrix, as lists: its threshold tol_rel * max(rows, cols) * sigma_max
-    (sigma_max anchored from below by scale, tol_rel itself for zero), its
-    rank and whether its cut is ambiguous: some singular value within a
-    factor of 10 of the threshold. One AmbiguousRankWarning covers the
-    stack, raised at the frame `stacklevel` up (the caller of the public
-    entry point). tol_rel must lie in (0, 1)."""
+def _cut(stacks, tol_rel: float, scale: float, full: bool = True, stacklevel: int = 3, whole=None):
+    """The SVDs of each (n, rows, cols) stack (thin unless full) and, per
+    stack, as lists over its matrices: the threshold tol_rel * max(rows,
+    cols) * sigma_max (sigma_max anchored from below by scale, tol_rel
+    itself for zero), the rank and whether the cut is ambiguous, some
+    singular value within a factor of 10 of the threshold. With `whole`,
+    the max(rows, cols) of the block-diagonal matrix whose parts are all
+    the matrices given, every part gets that matrix's threshold: `whole`
+    stands for max(rows, cols) and sigma_max is the largest over all parts.
+    One AmbiguousRankWarning covers the call, raised at the frame
+    `stacklevel` up (the caller of the public entry point). tol_rel must
+    lie in (0, 1)."""
     if not 0.0 < tol_rel < 1.0:
         raise InvalidInput(f"tol_rel must lie in (0, 1), got {tol_rel}")
-    u, s, vh = _svd(stack, full)
-    n, rows, cols = stack.shape
-    big, scale = tol_rel * max(rows, cols), float(scale)
-    thresholds, ranks, ambiguous = [], [], []
-    for row in s.tolist():
-        smax = max(row[0], scale) if row else scale
-        threshold = big * smax if smax > 0.0 else tol_rel
-        rank = sum(map(threshold.__lt__, row))
-        thresholds.append(threshold)
-        ranks.append(rank)
-        # row is non-increasing: the values nearest the threshold are the
-        # last one kept and the first one dropped
-        ambiguous.append(
-            (rank > 0 and row[rank - 1] < threshold * 10.0)
-            or (rank < len(row) and row[rank] > threshold / 10.0)
-        )
-    if any(ambiguous):
-        where = f" ({sum(ambiguous)} of {n} matrices)" if n > 1 else ""
+    svds = [_svd(stack, full) for stack in stacks]
+    scale = float(scale)
+    if whole is not None:
+        # the largest sigma over every part, so each row's smax below is it
+        scale = max([scale] + [float(s[:, 0].max()) for _, s, _ in svds if s.size])
+    out, flagged, count = [], [], 0
+    for stack, (u, s, vh) in zip(stacks, svds):
+        n, rows, cols = stack.shape
+        big = tol_rel * (max(rows, cols) if whole is None else whole)
+        thresholds, ranks, ambiguous = [], [], []
+        for row in s.tolist():
+            smax = max(row[0], scale) if row else scale
+            threshold = big * smax if smax > 0.0 else tol_rel
+            rank = sum(map(threshold.__lt__, row))
+            thresholds.append(threshold)
+            ranks.append(rank)
+            # row is non-increasing: the values nearest the threshold are the
+            # last one kept and the first one dropped
+            ambiguous.append(
+                (rank > 0 and row[rank - 1] < threshold * 10.0)
+                or (rank < len(row) and row[rank] > threshold / 10.0)
+            )
+            if ambiguous[-1]:
+                flagged.append(threshold)
+        count += n
+        out.append((u, s, vh, thresholds, ranks, ambiguous))
+    if flagged:
+        where = f" ({len(flagged)} of {count} matrices)" if count > 1 else ""
         warnings.warn(
-            AmbiguousRankWarning(
-                f"singular value within a factor of 10 of threshold "
-                f"{thresholds[ambiguous.index(True)]:.3e}{where}"
-            ),
+            AmbiguousRankWarning(f"singular value within a factor of 10 of threshold {flagged[0]:.3e}{where}"),
             stacklevel=stacklevel,
         )
-    return u, s, vh, thresholds, ranks, ambiguous
+    return out
+
+
+def _decide(stacks, tol_rel: float, scale: float, stacklevel: int, whole=None) -> list:
+    """The RankResults of every matrix of each stack, per stack (_cut)."""
+    stacks = [_as_carray(stack, 3, "matrix") for stack in stacks]
+    return [
+        [
+            # fields in order: rank, kernel, cokernel, row and range bases,
+            # singular values, threshold, ambiguity
+            RankResult(rank, v[rank:].conj().T, u[:, rank:], v[:rank].conj().T, u[:, :rank], s, threshold, flag)
+            for u, s, v, threshold, rank, flag in zip(*cut)
+        ]
+        for cut in _cut(stacks, tol_rel, scale, True, stacklevel + 1, whole)
+    ]
 
 
 def _rank_nullspaces(
@@ -171,22 +200,36 @@ def _rank_nullspaces(
     and ambiguity flag, so each result equals its matrix decided alone;
     one AmbiguousRankWarning covers the stack, raised as warnings.warn
     would with `stacklevel` here (2: at the caller)."""
-    u, s, vh, thresholds, ranks, ambiguous = _cut(
-        _as_carray(stack, 3, "matrix"), tol_rel, scale, stacklevel=stacklevel + 1
-    )
-    return [
-        RankResult(
-            rank=rank,
-            kernel_basis=vh_i[rank:].conj().T,
-            cokernel_basis=u_i[:, rank:],
-            row_basis=vh_i[:rank].conj().T,
-            range_basis=u_i[:, :rank],
-            singular_values=s_i,
-            tolerance_used=threshold,
-            ambiguous=flag,
-        )
-        for u_i, s_i, vh_i, rank, threshold, flag in zip(u, s, vh, ranks, thresholds, ambiguous)
-    ]
+    return _decide([stack], tol_rel, scale, stacklevel + 1)[0]
+
+
+def _by_shape(*lists) -> dict:
+    """The indices i of the same-index tuples (a[i], b[i], ...) of the
+    given lists of matrices, in order, grouped by the tuple of shapes."""
+    groups: dict = defaultdict(list)
+    for i, mats in enumerate(zip(*lists)):
+        groups[tuple(mat.shape for mat in mats)].append(i)
+    return groups
+
+
+def _rank_parts(
+    parts, tol_rel: float = DEFAULT_TOL, scale: float = 0.0, stacklevel: int = 2
+) -> list[RankResult]:
+    """rank_nullspace of the direct sum of `parts` (2-d matrices, its
+    diagonal blocks), part by part, in order: each RankResult holds its
+    part's bases and rank, cut at the threshold the whole block-diagonal
+    matrix gets (_cut with `whole`). The parts of one shape go to LAPACK
+    as one stack; a lone part is rank_nullspace of it."""
+    if len(parts) == 1:
+        return _rank_nullspaces(parts[0][None], tol_rel, scale, stacklevel + 1)
+    groups = _by_shape(parts)
+    whole = max(sum(p.shape[0] for p in parts), sum(p.shape[1] for p in parts))
+    stacks = [np.stack([parts[i] for i in idx]) for idx in groups.values()]
+    out: list = [None] * len(parts)
+    for idx, results in zip(groups.values(), _decide(stacks, tol_rel, scale, stacklevel + 1, whole)):
+        for i, res in zip(idx, results):
+            out[i] = res
+    return out
 
 
 def rank_nullspace(a, tol_rel: float = DEFAULT_TOL, scale: float = 0.0) -> RankResult:
@@ -218,50 +261,46 @@ def range_basis(a, tol_rel: float = DEFAULT_TOL, scale: float = 0.0) -> np.ndarr
 
     `scale` has the same role as in rank_nullspace.
     """
-    u, _, _, _, rank, _ = _cut(as_cmatrix(a)[None], tol_rel, scale, full=False)
+    u, _, _, _, rank, _ = _cut([as_cmatrix(a)[None]], tol_rel, scale, full=False)[0]
     return u[0, :, : rank[0]].copy()
 
 
-def operator_norm(a) -> float:
-    """Largest singular value of a; block_operator_norm with a as its one
-    block."""
-    return block_operator_norm({(0, 0): as_cmatrix(a)})
+def _largest_norm(stacks) -> float:
+    """Largest singular value over every matrix of the given (n, rows,
+    cols) stacks; 0.0 when all are zero or empty.
 
-
-def block_operator_norm(blocks: dict) -> float:
-    """Largest singular value of the matrix whose nonzero blocks are
-    blocks[(row, col)] (every block of one row key has the same height,
-    every block of one column key the same width), as sqrt of the top
-    eigenvalue of the smaller Gram matrix; 0.0 for a zero or empty matrix.
-
-    The Gram matrix is summed block by block, so the matrix itself is never
-    formed, and no SVD runs. It is formed from the blocks scaled by one
-    power of two (exact), so entries beyond sqrt of the float range do not
-    overflow it.
+    It is sqrt of the top eigenvalue of each matrix's smaller Gram matrix,
+    the Gram matrices of one size, over all stacks, in one eigvalsh call;
+    no SVD runs. Each stack is first scaled by one power of two (exact)
+    that brings its largest entry into [1/2, 1), so entries beyond sqrt of
+    the float range do not overflow a Gram matrix. A matrix of the largest
+    norm has an entry within sqrt(rows * cols) of the stack's largest, so
+    its Gram matrix does not underflow either.
     """
-    top = max((float(np.abs(b).max()) for b in blocks.values() if b.size), default=0.0)
-    if top == 0.0:
-        return 0.0
-    exp = math.frexp(top)[1]
-    factor = math.ldexp(1.0, -exp)
-    heights = {r: b.shape[0] for (r, _), b in blocks.items()}
-    widths = {c: b.shape[1] for (_, c), b in blocks.items()}
-    if sum(widths.values()) > sum(heights.values()):
-        # the smaller Gram matrix is that of the conjugate transpose
-        blocks = {(c, r): b.conj().T for (r, c), b in blocks.items()}
-        widths = heights
-    start, size = {}, 0
-    for c, width in widths.items():
-        start[c], size = size, size + width
-    by_row = defaultdict(list)
-    for (r, c), b in blocks.items():
-        by_row[r].append((slice(start[c], start[c] + b.shape[1]), b * factor))
-    gram = np.zeros((size, size), dtype=complex)
-    for row in by_row.values():
-        for i, left in row:
-            for j, right in row:
-                gram[i, j] += left.conj().T @ right
-    return math.ldexp(math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)), exp)
+    grams: dict = defaultdict(list)
+    for stack in stacks:
+        top = float(np.abs(stack).max()) if stack.size else 0.0
+        if top == 0.0:
+            continue
+        exp = math.frexp(top)[1]
+        a = stack * math.ldexp(1.0, -exp)
+        ah = a.conj().swapaxes(1, 2)
+        # the smaller Gram matrix
+        grams[min(a.shape[1:])].append((exp, ah @ a if a.shape[2] <= a.shape[1] else a @ ah))
+    largest = 0.0
+    for items in grams.values():
+        tops = np.linalg.eigvalsh(np.concatenate([gram for _, gram in items]))[:, -1]
+        at = 0
+        for exp, gram in items:
+            top = max(float(tops[at : at + len(gram)].max()), 0.0)
+            largest = max(largest, math.ldexp(math.sqrt(top), exp))
+            at += len(gram)
+    return largest
+
+
+def operator_norm(a) -> float:
+    """Largest singular value of a (_largest_norm of one matrix)."""
+    return _largest_norm([as_cmatrix(a)[None]])
 
 
 def det_modulus(a) -> float:

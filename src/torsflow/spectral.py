@@ -42,12 +42,13 @@ there; each slot adds (-1)^(n+q+1) log|det(H^H C)| for them. The product
 over all pages reproduces the torsion of the base complex relative to the
 cohomology basis induced by the last page. filtered_pages verifies that
 identity to 1e-8 relative on every call, against a direct torsion of the
-base complex; where the ladder's scale is the check's (anchor >= 1), the
-check takes the ladder's decision on each whole d^k instead of deciding
-it again.
+base complex. The ladder decides every subspace at the check's scale,
+the anchor, as the page step does; where anchor >= 1 the check takes the
+ladder's decision on each whole d^k instead of deciding it again.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -65,7 +66,7 @@ from .complexes import (
     modulus_from_log,
 )
 from .errors import InvalidFiltration, TorsionError
-from .linalg import DEFAULT_TOL, range_basis, rank_nullspace
+from .linalg import DEFAULT_TOL, _by_shape, _rank_parts, range_basis, rank_nullspace
 
 
 class FilteredComplex:
@@ -223,7 +224,7 @@ def _zspace(
         kernel = np.eye(int(cols.sum()), dtype=complex)
     else:
         restricted = fc.base.diff(k)[np.ix_(rows, cols)]
-        res = rank_nullspace(restricted, tol_rel, scale=max(1.0, anchor))
+        res = rank_nullspace(restricted, tol_rel, scale=anchor)
         if decided is not None and cols.all() and rows.all():
             decided[k] = res
         kernel = res.kernel_basis
@@ -275,7 +276,7 @@ class _Ladder:
             return cache[key]
         if (key, "image") not in cache:
             d = self.fc.base.diff(key[2])
-            cache[(key, "image")] = range_basis(d @ cache[key], self.tol_rel, scale=max(1.0, self.anchor))
+            cache[(key, "image")] = range_basis(d @ cache[key], self.tol_rel, scale=self.anchor)
         return cache[(key, "image")]
 
     def outside(self, pair: tuple, r: int, slot: tuple) -> np.ndarray:
@@ -353,7 +354,7 @@ def filtered_pages(fc: FilteredComplex, tol_rel: float = DEFAULT_TOL) -> Spectra
                 tgt = np.zeros((base.dim(k + 1), 0), dtype=complex)
             diffs[(n, k - n)] = tgt.conj().T @ base.diff(k) @ src
         dims = {key: b.shape[1] for key, b in spaces.items()}
-        step, log_tau = _page_step(dims, diffs, r, tol_rel, anchor)
+        step, log_tau, _ = _page_step(dims, diffs, r, tol_rel, anchor)
         # the ladder's next-page classes, C in page-r coordinates, are not the
         # step's orthonormal basis H: a slot in total degree k adds
         # (-1)^(k+1) log|det(H^H C)|
@@ -377,8 +378,8 @@ def filtered_pages(fc: FilteredComplex, tol_rel: float = DEFAULT_TOL) -> Spectra
     # at least one level, so every degree has slots to concatenate
     h_bases = {k: np.concatenate([limit[(n, k)] for n in range(L)], axis=1) for k in degrees}
     anchored = BasedComplex(base.dims, base.diffs, rank_scale=anchor)
-    # the ladder decided each whole d^k at scale max(1, anchor); where that
-    # is the check's own scale, its decisions are the check's
+    # the ladder decided each whole d^k at the check's own scale, anchor;
+    # its decisions are the check's where anchor >= 1
     known = ladder.decided if anchor >= 1.0 else None
     decided = _harmonic_bases(anchored, tol_rel, skip=h_bases, known=known)
     direct = _dims_and_torsion(anchored, h_bases, None, tol_rel, decided=decided)[1]
@@ -398,38 +399,124 @@ def filtered_pages(fc: FilteredComplex, tol_rel: float = DEFAULT_TOL) -> Spectra
     )
 
 
-def _page_step(dims: dict, diffs: dict, r: int, tol_rel: float, anchor: float):
-    """One page step: the next page's bases and this page's log-torsion.
+#: the decisions of a slot with no map out of it, or none into it
+_NONE: dict = {}
 
-    dims[(level, q)] is a slot's page dimension and diffs[(level, q)] the
-    matrix of d_r from it to (level + r, q - r + 1). Per slot the next page
-    is an orthonormal basis of ker(d_r out of the slot) meet (im d_r into
-    it)^perp, in the slot's coordinates. Each block is decomposed once: its
-    rank decision gives the kernel in its source slot, the range and its
-    complement in its target slot and, relative to these bases, its term
-    (-1)^(level + q) log_kept of the log-torsion. A slot with an incoming
-    map and no outgoing one takes the incoming decision's cokernel basis,
-    (im d_r)^perp, as it stands; only a slot with both maps is cut again.
+
+def _page_step(dims: dict, diffs: dict, r: int, tol_rel: float, anchor: float):
+    """One page step: the next page's bases, this page's log-torsion and
+    the next page's part sizes.
+
+    dims[(level, q)] is a slot's page dimension, or the sizes of its parts:
+    one per connected component, in the slot's column order, every slot
+    listing the same components (an empty part as 0). diffs[(level, q)] is
+    the matrix of d_r from the slot to (level + r, q - r + 1), block
+    diagonal over the parts. Torsion is multiplicative over direct sums
+    (Milnor 1966), so every decision is made part by part: the parts of one
+    d_r go to linalg._rank_parts, those of one shape as one LAPACK stack,
+    each cut at the threshold the whole matrix gets, tol_rel * max(rows,
+    cols) * max(anchor, largest sigma over its parts). d2 carries the
+    zig-zag through D_s^+, so that sigma can exceed the anchor. Ranks and
+    next pages then do not depend on the split.
+
+    Per part the next page is an orthonormal basis of ker(d_r out of it)
+    meet (im d_r into it)^perp. The part's decision gives the kernel in its
+    source slot, the range and its complement in its target slot and,
+    relative to these bases, its term (-1)^(level + q) log_kept of the
+    log-torsion. A part with an incoming map and no outgoing one takes the
+    incoming decision's cokernel basis, (im d_r)^perp, as it stands; only
+    a part with both maps is cut again. A slot's next page is the
+    block-diagonal direct sum of its part bases, and the next part sizes
+    are their widths.
     """
-    ranks = {key: rank_nullspace(mat, tol_rel, scale=anchor) for key, mat in diffs.items() if mat.size}
-    bases = {}
-    for (level, q), dim in dims.items():
-        if dim == 0:
-            bases[(level, q)] = np.zeros((0, 0), dtype=complex)
+    sizes = {key: [n] if isinstance(n, (int, np.integer)) else list(n) for key, n in dims.items()}
+    decided = {}
+    for (level, q), mat in diffs.items():
+        if mat.size:
+            blocks = _diagonal_blocks(mat, sizes[(level + r, q - r + 1)], sizes[(level, q)])
+            decided[(level, q)] = dict(zip(blocks, _rank_parts(list(blocks.values()), tol_rel, scale=anchor)))
+    bases, widths = {}, {}
+    for (level, q), n in sizes.items():
+        if not any(n):
+            bases[(level, q)], widths[(level, q)] = np.zeros((0, 0), dtype=complex), n
             continue
-        out = ranks.get((level, q))
-        into = ranks.get((level - r, q + r - 1))
-        if out is None:
-            span = into.cokernel_basis if into is not None else np.eye(dim, dtype=complex)
-        elif into is None:
-            span = out.kernel_basis
-        else:
-            span = _within(out.kernel_basis, into.range_basis, tol_rel)
-            if span.shape[1] != dim - into.rank - out.rank:
-                raise TorsionError(f"page {r}, slot {(level, q)}: im d_{r} not inside ker d_{r}")
-        bases[(level, q)] = span
-    log_tau = math.fsum((-1) ** (level + q) * res.log_kept for (level, q), res in ranks.items())
-    return bases, log_tau
+        out, into = decided.get((level, q), _NONE), decided.get((level - r, q + r - 1), _NONE)
+        if not (out or into):
+            bases[(level, q)], widths[(level, q)] = np.eye(sum(n), dtype=complex), n
+            continue
+        spans = [
+            out[c].kernel_basis if c in out
+            else into[c].cokernel_basis if c in into
+            else np.eye(size, dtype=complex)
+            for c, size in enumerate(n)
+        ]
+        both = [c for c in out if c in into]
+        if both:
+            cut = _within_parts([spans[c] for c in both], [into[c].range_basis for c in both], tol_rel)
+            for c, span in zip(both, cut):
+                if span.shape[1] != n[c] - into[c].rank - out[c].rank:
+                    raise TorsionError(f"page {r}, slot {(level, q)}: im d_{r} not inside ker d_{r}")
+                spans[c] = span
+        bases[(level, q)] = _direct_sum(spans)
+        widths[(level, q)] = [span.shape[1] for span in spans]
+    log_tau = math.fsum(
+        (-1) ** (level + q) * res.log_kept for (level, q), parts in decided.items() for res in parts.values()
+    )
+    return bases, log_tau, widths
+
+
+def _diagonal_blocks(mat: np.ndarray, rows: list, cols: list) -> dict:
+    """The diagonal blocks of a block-diagonal matrix whose parts are
+    rows[c] x cols[c], keyed by c; a block with no rows and no columns is
+    left out, and a lone part is the matrix itself."""
+    if len(rows) == 1:
+        return {0: mat}
+    at = zip(itertools.accumulate(rows, initial=0), itertools.accumulate(cols, initial=0), rows, cols)
+    return {c: mat[i : i + a, j : j + b] for c, (i, j, a, b) in enumerate(at) if a or b}
+
+
+def _stacked(fn, *lists) -> list:
+    """fn on each tuple of same-index parts of the lists, in order: one call
+    on the stacks of every group of tuples of one shape, and a lone tuple
+    as it stands."""
+    out: list = [None] * len(lists[0])
+    for idx in _by_shape(*lists).values():
+        if len(idx) == 1:
+            out[idx[0]] = fn(*(parts[idx[0]] for parts in lists))
+            continue
+        for i, res in zip(idx, fn(*(np.stack([parts[i] for i in idx]) for parts in lists))):
+            out[i] = res
+    return out
+
+
+def _within_parts(spans: list, constraints: list, tol_rel: float) -> list:
+    """complexes._within of each (span, constraint) pair, the pairs being the
+    parts of one direct sum: each cut is made at the whole cut's threshold
+    (linalg._rank_parts), and the products of one shape as one stack. A
+    lone pair is _within itself; with no constraint, or nothing to cut, the
+    spans are the answer, as there."""
+    if len(spans) == 1:
+        return [_within(spans[0], constraints[0], tol_rel)]
+    if not (sum(con.shape[1] for con in constraints) and sum(span.shape[1] for span in spans)):
+        return spans
+    products = _stacked(lambda con, span: np.swapaxes(con.conj(), -1, -2) @ span, constraints, spans)
+    coeffs = [res.kernel_basis for res in _rank_parts(products, tol_rel, scale=1.0)]
+    return _stacked(np.matmul, spans, coeffs)
+
+
+def _direct_sum(parts: list) -> np.ndarray:
+    """The block-diagonal matrix with the diagonal blocks `parts`, in order;
+    a lone part is itself. The parts of one shape are placed as one stack."""
+    if len(parts) == 1:
+        return parts[0]
+    rows = np.cumsum([0, *(p.shape[0] for p in parts)])
+    cols = np.cumsum([0, *(p.shape[1] for p in parts)])
+    out = np.zeros((rows[-1], cols[-1]), dtype=complex)
+    for ((h, w),), idx in _by_shape(parts).items():
+        if h and w:
+            at = (rows[idx][:, None, None] + np.arange(h)[:, None], cols[idx][:, None, None] + np.arange(w))
+            out[at] = np.stack([parts[i] for i in idx])
+    return out
 
 
 def _page_note(bases: dict) -> str:

@@ -464,6 +464,42 @@ def acyclic_zigzag_model(rng):
     return BottModel(Representation(m, gens), blocks, conns)
 
 
+def disjoint_union(models, rng):
+    """One model holding the blocks and connections of every model (all of
+    one fiber dimension), its isoenergy surface their disjoint union: copy
+    c prefixes its block ids and generator names with "c<c>_". The blocks
+    are shuffled within each tier, so the copies interleave in model order,
+    and each block's critical value becomes its tier."""
+    from dataclasses import replace
+
+    from torsflow import GradientConnection, Orbit
+
+    gens, blocks, conns = {}, [], []
+    for c, model in enumerate(models):
+        prefix = f"c{c}_"
+
+        def word(tokens):
+            return tuple(prefix + token for token in tokens)
+
+        gens.update({prefix + name: mat for name, mat in model.representation.generators.items()})
+        for b in model.blocks:
+            blocks.append(
+                replace(b, id=prefix + b.id, critical_value=float(b.tier), holonomy=word(b.holonomy),
+                        alpha=word(b.alpha), beta=word(b.beta))
+            )
+        for conn in model.connections:
+            conns.append(
+                GradientConnection(
+                    (prefix + conn.from_point[0], conn.from_point[1]),
+                    (prefix + conn.to_point[0], conn.to_point[1]),
+                    tuple(Orbit(o.sign, word(o.word)) for o in conn.orbits),
+                )
+            )
+    order = rng.permutation(len(blocks))
+    blocks = sorted((blocks[j] for j in order), key=lambda b: b.tier)
+    return BottModel(Representation(models[0].representation.dim, gens), tuple(blocks), tuple(conns))
+
+
 def e1_ambient(model, e1):
     """The orthonormal E_1 bases in ambient coordinates: entry k is (dim of
     Morse degree k) x (page dimension of degree k), its columns laid out as

@@ -28,6 +28,7 @@ from helpers import (
     assert_same_span,
     d2_fires_model,
     dense_reduced_operator,
+    disjoint_union,
     e1_basis,
     extremal_to_saddle_model,
     kovalevskaya_model,
@@ -792,11 +793,12 @@ class TestComputedOnce:
     def test_one_svd_per_operator(self, monkeypatch):
         # k = 4, m = 2 Kovalevskaya replica (24 circle blocks, acyclic):
         # one SVD per block D, all 24 in one stacked LAPACK call, and two
-        # d1 blocks decomposed once each for the kernel of their source,
-        # the range and its complement in their target and the page-one
-        # torsion; the target slots have no outgoing d1, so they take that
-        # complement with no further cut, and the page-one torsion complex
-        # is not decomposed again
+        # d1 blocks decomposed once each, as the stack of their 8 connected
+        # components' parts, for the kernel of their source, the range and
+        # its complement in their target and the page-one torsion; the
+        # target slots have no outgoing d1, so they take that complement
+        # with no further cut, and the page-one torsion complex is not
+        # decomposed again
         calls = []
         original = np.linalg.svd
 
@@ -809,9 +811,9 @@ class TestComputedOnce:
         report = total_torsion(model)
         assert report.total.modulus == pytest.approx(4.0 ** 8, rel=1e-12)
         assert report.acyclic
-        assert calls == [(24, 2, 2), (16, 16), (16, 16)]
-        # still one decision per operator: 26 matrices decomposed
-        assert sum(shape[0] if len(shape) == 3 else 1 for shape in calls) == 26
+        assert calls == [(24, 2, 2), (8, 2, 2), (8, 2, 2)]
+        # still one decision per operator: 24 D matrices and 2 x 8 parts
+        assert sum(shape[0] if len(shape) == 3 else 1 for shape in calls) == 40
 
 
 class TestOneDecomposition:
@@ -962,21 +964,143 @@ class TestBlockSparse:
         assert report.acyclic
 
     @pytest.mark.parametrize(
-        "largest, stage", [(0, "block cohomology"), (4, "first page")], ids=["any", "page"]
+        "allowed, stage", [(0, "block cohomology"), (1, "first page")], ids=["any", "page"]
     )
-    def test_memory_error_names_the_stage(self, monkeypatch, largest, stage):
-        # SVDs of matrices up to `largest` rows and columns still run: at
-        # m = 2 the block D matrices are 2 x 2 (one stack of 24) and the
-        # first page decisions are larger
+    def test_memory_error_names_the_stage(self, monkeypatch, allowed, stage):
+        # the first `allowed` SVD calls still run: at m = 2 the first is the
+        # stack of the 24 block D matrices, and the first page decisions
+        # come after it
         from torsflow import TorsionError
 
         original = np.linalg.svd
+        calls = []
 
         def exhausted(a, *args, **kwargs):
-            if max(np.shape(a)[-2:]) <= largest:
+            calls.append(np.shape(a))
+            if len(calls) <= allowed:
                 return original(a, *args, **kwargs)
             raise MemoryError
 
         monkeypatch.setattr(np.linalg, "svd", exhausted)
         with pytest.raises(TorsionError, match=f"out of memory in {stage}: 24 blocks, 16 connections, fiber dimension 2"):
             total_torsion(kovalevskaya_replica(4, 2), mode="full")
+
+
+def _unions():
+    """Disjoint unions of the test patterns (m = 2), each list of copies
+    merged by disjoint_union."""
+    rng = np.random.default_rng(95)
+    patterns = [
+        d2_fires_model(rng),
+        extremal_to_saddle_model(rng, "torus")[0],
+        extremal_to_saddle_model(rng, "klein")[0],
+        quotient_target_model(rng),
+        zigzag_model(rng, 2),
+        kovalevskaya_replica(2, 2),
+    ]
+    yield "patterns", patterns
+    yield "patterns-twice", patterns + [d2_fires_model(rng), quotient_target_model(rng), zigzag_model(rng, 2)]
+    yield "kovalevskaya", [
+        kovalevskaya_model(Representation(2, {"g": -np.eye(2)})),
+        kovalevskaya_model(Representation(2, {"g": np.eye(2)})),
+        kovalevskaya_model(Representation(2, {"g": np.diag([-1.0, 1.0])})),
+    ]
+
+
+_UNIONS = dict(_unions())
+
+
+class TestComponentSplit:
+    """total_torsion decides the page differentials part by part over the
+    model's connected components, each part at its whole matrix's
+    threshold, and the anchor as the largest component norm."""
+
+    @staticmethod
+    def _route(d1, dims):
+        """Page two and three from d1 with the given slot part sizes: the
+        next-page part sizes, E_inf part sizes, log tau_d1 and log tau_d2."""
+        from torsflow.bott import PageTwo
+        from torsflow.spectral import _page_step
+
+        bases, log_d1, parts = _page_step(dims, d1.blocks, 1, 1e-10, d1.e1.anchor)
+        d2 = assemble_d2(PageTwo(bases=bases, d1=d1, log_torsion=log_d1, parts=parts))
+        _, log_d2, last = _page_step(parts, {(0, q): mat for q, mat in d2.items()}, 2, 1e-10, d1.e1.anchor)
+        return parts, last, log_d1, log_d2
+
+    @pytest.mark.parametrize("name", list(_UNIONS))
+    def test_split_decisions_match_the_whole_matrix(self, monkeypatch, name):
+        # every rank decision of the page steps goes through linalg._decide:
+        # record each call's results, over all its stacks
+        from torsflow import linalg
+
+        model = disjoint_union(_UNIONS[name], np.random.default_rng(96))
+        d1 = assemble_d1(model)
+        calls = []
+        original = linalg._decide
+
+        def spy(stacks, tol_rel, scale, stacklevel, whole=None):
+            results = original(stacks, tol_rel, scale, stacklevel + 1, whole)
+            calls.append([res for per_stack in results for res in per_stack])
+            return results
+
+        monkeypatch.setattr(linalg, "_decide", spy)
+        split = self._route(d1, d1.e1.part_dims())
+        split_calls, calls[:] = list(calls), []
+        # one part per slot: the whole E_1 slot matrices
+        whole = self._route(d1, d1.e1.dims())
+        assert max(map(len, split_calls)) > 1
+        assert all(len(results) == 1 for results in calls)
+        assert len(split_calls) == len(calls)
+        for parts, (alone,) in zip(split_calls, calls):
+            assert sum(res.rank for res in parts) == alone.rank
+            assert {res.tolerance_used for res in parts} == {parts[0].tolerance_used}
+            assert parts[0].tolerance_used == pytest.approx(alone.tolerance_used, rel=1e-12)
+        for got, want in zip(split[:2], whole[:2]):
+            assert {key: sum(n) for key, n in got.items()} == {key: sum(n) for key, n in want.items()}
+        for got, want in zip(split[2:], whole[2:]):
+            assert abs(got - want) <= 1e-12
+
+    @pytest.mark.parametrize("name", list(_UNIONS))
+    def test_union_total_is_the_sum_of_its_copies(self, name):
+        copies = _UNIONS[name]
+        report = total_torsion(disjoint_union(copies, np.random.default_rng(97)))
+        alone = [total_torsion(copy) for copy in copies]
+        assert np.log(report.total.modulus) == pytest.approx(
+            sum(np.log(r.total.modulus) for r in alone), abs=1e-10
+        )
+        einf = {}
+        for r in alone:
+            for key, n in r.einf_dims.items():
+                einf[key] = einf.get(key, 0) + n
+        assert report.einf_dims == einf
+
+    def test_anchor_is_the_largest_component_norm(self):
+        from torsflow.linalg import operator_norm
+
+        model = disjoint_union(_UNIONS["patterns"], np.random.default_rng(98))
+        base = assemble_complex(model).base
+        dense = max([1.0] + [operator_norm(base.diff(k)) for k in range(3)])
+        assert assemble_d1(model).e1.anchor == pytest.approx(dense, rel=1e-12)
+        assert base.rank_scale == pytest.approx(dense, rel=1e-12)
+
+    def test_solve_lapack_inputs_do_not_grow_with_copies(self, monkeypatch):
+        # the largest matrix any LAPACK call sees (its last two axes) and
+        # the number of calls are the same for 1, 4 and 16 copies
+        shapes = []
+        for name in ("svd", "eigvalsh", "slogdet"):
+            original = getattr(np.linalg, name)
+
+            def recorded(a, *args, _original=original, **kwargs):
+                shapes.append(np.shape(a))
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recorded)
+        for m in (1, 4):
+            seen = []
+            for k in (1, 4, 16):
+                shapes.clear()
+                report = total_torsion(kovalevskaya_replica(k, m), mode="full")
+                assert np.log(report.total.modulus) == pytest.approx(k * m * np.log(4.0), rel=1e-10)
+                seen.append((len(shapes), max(max(shape[-2:]) for shape in shapes)))
+            assert seen[0] == seen[1] == seen[2], (m, seen)
+            assert seen[0][1] <= 2 * m

@@ -211,27 +211,31 @@ def test_operator_norm_beyond_the_gram_range():
 
 
 @pytest.mark.parametrize("shape", [(3, 5), (5, 3), (4, 4)], ids=["wide", "tall", "square"])
-def test_block_operator_norm_matches_the_assembled_matrix(shape):
-    # blocks of unequal sizes, some rows and columns of blocks empty, and
-    # two blocks on one row and one column: the norm of the assembled matrix
-    from torsflow.linalg import block_operator_norm, operator_norm
+def test_largest_norm_matches_the_two_norm(monkeypatch, shape):
+    # stacks of one shape whose entries lie far apart in size, a zero one,
+    # an empty one and a stack of another shape with the same Gram size:
+    # the largest norm of each and of all, from one eigvalsh call
+    from torsflow.linalg import _largest_norm
 
     rng = np.random.default_rng(35)
-    heights, widths = [2, 1, 3, 2, 1][: shape[0]], [1, 3, 2, 2, 1][: shape[1]]
-    rows, cols = np.cumsum([0] + heights), np.cumsum([0] + widths)
-    dense = np.zeros((rows[-1], cols[-1]), dtype=complex)
-    blocks = {}
-    for i, j in [(0, 0), (0, 2), (1, 1), (2, 2), (shape[0] - 1, shape[1] - 1)]:
-        block = rng.standard_normal((heights[i], widths[j])) + 1j * rng.standard_normal((heights[i], widths[j]))
-        blocks[(f"r{i}", f"c{j}")] = block
-        dense[rows[i] : rows[i + 1], cols[j] : cols[j + 1]] = block
-    want = np.linalg.norm(dense, 2)
-    assert block_operator_norm(blocks) == pytest.approx(want, rel=1e-12)
-    assert operator_norm(dense) == pytest.approx(want, rel=1e-12)
-    huge = {key: 1e200 * block for key, block in blocks.items()}
-    assert block_operator_norm(huge) == pytest.approx(1e200 * want, rel=1e-12)
-    assert block_operator_norm({}) == 0.0
-    assert block_operator_norm({("r", "c"): np.zeros((2, 3), dtype=complex)}) == 0.0
+    base = rand_complex_matrix(rng, *shape)
+    other = rand_complex_matrix(rng, min(shape) + 2, min(shape))
+    want = np.linalg.norm(base, 2)
+    for s in (1.0, 1e200, 1e-200):
+        assert _largest_norm([(s * base)[None]]) == pytest.approx(s * want, rel=1e-12)
+    assert _largest_norm([np.zeros((2, *shape)), np.zeros((2, 0, 3))]) == 0.0
+    calls = []
+    original = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    stack = np.array([base, 1e-3 * base, np.zeros(shape)])
+    got = _largest_norm([stack, 2.0 * other[None], np.zeros((2, 0, 3))])
+    assert calls == [(4, min(shape), min(shape))]
+    assert got == pytest.approx(max(want, 2.0 * np.linalg.norm(other, 2)), rel=1e-12)
 
 
 def test_range_basis_owns_its_memory():

@@ -177,6 +177,26 @@ def test_direct_check_reuses_ladder_decisions_only_at_its_own_scale(monkeypatch,
     assert res.total.modulus == pytest.approx(scale * scale / 2, rel=1e-12)
 
 
+def test_small_norm_complex_keeps_its_ranks():
+    # a 1 x 1 differential below tol_rel: the ladder decides at the anchor,
+    # the scale of the page step, so the two read the same rank
+    base = BasedComplex([1, 1], [np.array([[1e-11]])])
+    res = filtered_pages(FilteredComplex(base, [np.zeros(1, int)] * 2, 1))
+    assert res.total.modulus == pytest.approx(complex_torsion(base).modulus, rel=1e-12)
+    assert res.total.modulus == pytest.approx(1e-11, rel=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-11])
+def test_small_norm_random_filtered_complexes(scale):
+    rng = np.random.default_rng(44)
+    for _ in range(6):
+        fc = random_acyclic_filtered_complex(rng)
+        base = BasedComplex(fc.base.dims, [scale * d for d in fc.base.diffs])
+        res = filtered_pages(FilteredComplex(base, fc.levels, fc.num_levels))
+        assert res.total.basis_note == ACYCLIC_NOTE
+        assert res.total.modulus == pytest.approx(complex_torsion(base).modulus, rel=1e-10)
+
+
 def test_rank_scale_anchors_page_rank_decisions():
     # a degree-2 differential of float noise in a complex that carries unit
     # scale: every rank decision, on the pages as in the direct check, must
@@ -272,7 +292,7 @@ def test_incoming_only_slot_takes_the_cokernel(rank):
     mat = rand_complex_matrix(rng, 5, rank) @ rand_complex_matrix(rng, rank, 3)
     dims = {(0, 0): 3, (1, 0): 5}
     diffs = {(0, 0): mat, (1, 0): np.zeros((0, 5), dtype=complex)}
-    bases, _ = _page_step(dims, diffs, 1, 1e-10, 1.0)
+    bases = _page_step(dims, diffs, 1, 1e-10, 1.0)[0]
     got = bases[(1, 0)]
     want = _within(np.eye(5, dtype=complex), rank_nullspace(mat, 1e-10, scale=1.0).range_basis, 1e-10)
     assert got.shape[1] == 5 - rank
