@@ -9,140 +9,24 @@ The package is organized bottom up:
 * bott: the critical-block model of an isoenergy surface and its pipeline
 * cw: twisted cochain complexes of CW complexes, the independent oracle
 * cli / documents: the batch front end and its document format
+
+Each module lists its public names in its own __all__; the package
+exports all of them.
 """
 
-from .errors import (
-    AssumptionViolated,
-    BasisMismatch,
-    FastPathUnavailable,
-    IllegalConnection,
-    InvalidCW,
-    InvalidFiltration,
-    InvalidInput,
-    ModelOrderError,
-    NotAComplex,
-    NotExact,
-    ParseError,
-    TorsflowError,
-    TorsionError,
-)
-from .linalg import (
-    DEFAULT_TOL,
-    AmbiguousRankWarning,
-    RankResult,
-    det_modulus,
-    range_basis,
-    rank_nullspace,
-    singular_product,
-)
-from .complexes import (
-    ACYCLIC_NOTE,
-    RELATIVE_NOTE,
-    BasedComplex,
-    TorsionScalar,
-    cohomology_bases,
-    cohomology_dims,
-    complex_torsion,
-    map_torsion,
-    ses_torsion,
-    shifted_complex,
-)
-from .spectral import FilteredComplex, Page, SpectralResult, filtered_pages
-from .representation import Representation, trivial_representation
-from .bott import (
-    BlockCohomology,
-    BottModel,
-    CriticalBlock,
-    GradientConnection,
-    MorsePoint,
-    Orbit,
-    TorsionReport,
-    assemble_complex,
-    assemble_d1,
-    assemble_d2,
-    block_cohomology,
-    ensure_valid,
-    expand_morse,
-    page_two,
-    total_torsion,
-    validate_model,
-)
-from .cw import (
-    CWComplex,
-    circle,
-    cw_torsion,
-    elementary_expansion,
-    klein_bottle,
-    lens_space,
-    point,
-    rp3,
-    torus,
-    twisted_cochain,
-)
+from . import bott, complexes, cw, errors, linalg, representation, spectral
+from .bott import *  # noqa: F401,F403
+from .complexes import *  # noqa: F401,F403
+from .cw import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .linalg import *  # noqa: F401,F403
+from .representation import *  # noqa: F401,F403
+from .spectral import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmbiguousRankWarning",
-    "AssumptionViolated",
-    "ACYCLIC_NOTE",
-    "BasedComplex",
-    "BasisMismatch",
-    "BlockCohomology",
-    "BottModel",
-    "CWComplex",
-    "CriticalBlock",
-    "DEFAULT_TOL",
-    "FastPathUnavailable",
-    "FilteredComplex",
-    "GradientConnection",
-    "IllegalConnection",
-    "InvalidCW",
-    "InvalidFiltration",
-    "InvalidInput",
-    "ModelOrderError",
-    "MorsePoint",
-    "NotAComplex",
-    "NotExact",
-    "Orbit",
-    "Page",
-    "ParseError",
-    "RELATIVE_NOTE",
-    "RankResult",
-    "Representation",
-    "SpectralResult",
-    "TorsflowError",
-    "TorsionError",
-    "TorsionReport",
-    "TorsionScalar",
-    "assemble_complex",
-    "assemble_d1",
-    "assemble_d2",
-    "block_cohomology",
-    "circle",
-    "cohomology_bases",
-    "cohomology_dims",
-    "complex_torsion",
-    "cw_torsion",
-    "det_modulus",
-    "elementary_expansion",
-    "ensure_valid",
-    "expand_morse",
-    "filtered_pages",
-    "klein_bottle",
-    "lens_space",
-    "map_torsion",
-    "page_two",
-    "point",
-    "range_basis",
-    "rank_nullspace",
-    "rp3",
-    "ses_torsion",
-    "shifted_complex",
-    "singular_product",
-    "torus",
-    "total_torsion",
-    "trivial_representation",
-    "twisted_cochain",
-    "validate_model",
+    name
+    for module in (errors, linalg, complexes, spectral, representation, bott, cw)
+    for name in module.__all__
 ]

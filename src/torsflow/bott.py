@@ -41,16 +41,19 @@ with the page torsions, accumulated as a sum of logs, and for all-circle
 acyclic models it collapses to the determinant product
 prod |det D_i|^((-1)^u_i), available as the fast path.
 
-total_torsion never forms the dense Morse complex (assemble_complex does,
-for filtered_pages). The differential is held as m x m blocks, one per
-point pair: d*d = 0 is checked on the block products, and the reduced
-operator is summed block by block into the E_1 slots. The model falls into
-connected components (blocks joined by connections), and the Morse complex
-and every page are direct sums over them. E_1 columns run component by
-component within each level, so the page differentials are block
-diagonal, and each page decision is made part by part at the whole
-matrix's threshold; the operator norm that anchors them is the largest of
-the components' norms.
+Validation derives the model's layout once per call, as arrays: each
+block's tier, level and connected component (blocks joined by
+connections), each Morse point's index and position, each supplied point
+pair with its kind and orbit sum (one walk over the distinct words). Every
+later stage reads it. total_torsion never forms the dense Morse complex
+(assemble_complex does, for filtered_pages). The differential is held as
+m x m blocks, one per point pair: d*d = 0 is checked on the block
+products, and the reduced operator is summed into the E_1 slots. The
+Morse complex and every page are direct sums over the components. E_1
+columns run component by component within each level, so the page
+differentials are block diagonal, and each page decision is made part by
+part at the whole matrix's threshold; the operator norm that anchors them
+is the largest of the components' norms.
 """
 from __future__ import annotations
 
@@ -59,6 +62,7 @@ import math
 from collections import Counter, defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -82,9 +86,15 @@ from .errors import (
     NotAComplex,
     TorsionError,
 )
-from .linalg import DEFAULT_TOL, RankResult, _largest_norm, _rank_nullspaces
-from .representation import Representation, parse_word
+from .linalg import DEFAULT_TOL, RankResult, _cut, _largest_norm, _rank_nullspaces, _results
+from .representation import Representation, parse_word, split_token
 from .spectral import FilteredComplex, _page_note, _page_step
+
+__all__ = [
+    "BlockCohomology", "BottModel", "CriticalBlock", "GradientConnection", "MorsePoint", "Orbit",
+    "TorsionReport", "assemble_complex", "assemble_d1", "assemble_d2", "block_cohomology", "ensure_valid",
+    "expand_morse", "page_two", "total_torsion", "validate_model"
+]
 
 CIRCLE = "circle"
 TORUS = "torus"
@@ -229,14 +239,6 @@ class GradientConnection:
         object.__setattr__(self, "to_point", (str(self.to_point[0]), str(self.to_point[1])))
         object.__setattr__(self, "orbits", tuple(self.orbits))
 
-    def matrix(self, rep: Representation) -> np.ndarray:
-        """Sum of sign * rho(word) over the orbits."""
-        out = np.zeros((rep.dim, rep.dim), dtype=complex)
-        values = rep.evaluate_words(orbit.word for orbit in self.orbits)
-        for orbit, value in zip(self.orbits, values):
-            out = out + orbit.sign * value
-        return out
-
 
 @dataclass(frozen=True)
 class BottModel:
@@ -247,9 +249,6 @@ class BottModel:
     def __post_init__(self):
         object.__setattr__(self, "blocks", tuple(self.blocks))
         object.__setattr__(self, "connections", tuple(self.connections))
-
-    def block_map(self) -> dict:
-        return {b.id: b for b in self.blocks}
 
 
 @dataclass(frozen=True)
@@ -279,30 +278,49 @@ _LICENSED = {
     if k_hi == k + 1 and _TIER_LEVEL[hi] > _TIER_LEVEL[lo]
 }
 
+#: position of each label among its block's Morse points, per tier
+_SLOT = {tier: {label: j for j, label in enumerate(points)} for tier, points in _POINTS.items()}
 
-def connection_kind(blocks: dict, conn: GradientConnection) -> str:
-    """Classify a connection as a d1 or d2 component, or raise IllegalConnection.
 
-    This is the one licensing rule: validate_model applies it to every
-    connection, so no assembly stage meets an unlicensed pair. blocks is
-    the model's block_map(), built once by the caller.
+class _Diagnostics(list):
+    """validate_model's diagnostics; an empty one carries the layout."""
+
+    layout = None
+
+
+class _Layout(SimpleNamespace):
+    """A valid model's structure as arrays, built by validate_model and read
+    by every later stage of one call.
+
+    Per block: tier (a list), level, component (numbered in the order of
+    their first blocks) and first, its first Morse point (one more entry
+    closes the list). Points run block by block in model order, labels in
+    label order; per point: index (Morse index), block, row (position among
+    the points of its index), piece (the same within its component) and
+    within (1 for the r point of a torus / Klein bottle, else 0: its rows
+    of the block's basis follow q's). count[k, c]: index-k points of
+    component c. Per supplied pair, in the order of first mention: source
+    and target point (the cochain component runs source -> target), gap (1:
+    d1, 2: d2) and sums, its connections' orbit sums added in order.
+    values: rho of the block words (_block_words), until
+    _block_cohomologies takes them.
     """
-    lo_block = blocks[conn.to_point[0]]
-    hi_block = blocks[conn.from_point[0]]
-    key = (
-        (lo_block.tier, conn.to_point[1]),
-        (hi_block.tier, conn.from_point[1]),
-    )
-    kind = _LICENSED.get(key)
-    if kind is None:
-        raise IllegalConnection(
-            f"connection {conn.from_point[0]}.{conn.from_point[1]} -> "
-            f"{conn.to_point[0]}.{conn.to_point[1]}: no differential component is "
-            f"induced between a {_TIER_NAMES[lo_block.tier]} point "
-            f"'{conn.to_point[1]}' and a {_TIER_NAMES[hi_block.tier]} point "
-            f"'{conn.from_point[1]}'"
-        )
-    return kind
+
+
+def _rank_within(keys: np.ndarray) -> np.ndarray:
+    """The position of each entry among the entries of equal key, in order."""
+    order = np.argsort(keys, kind="stable")
+    out = np.empty_like(order)
+    out[order] = np.arange(len(keys)) - np.searchsorted(keys[order], keys[order])
+    return out
+
+
+def _add_in_order(out: np.ndarray, keys: np.ndarray, values: np.ndarray) -> None:
+    """out[keys[e]] += values[e] for each entry e in order, as a loop would."""
+    turn = _rank_within(keys)
+    for n in range(turn.max(initial=-1) + 1):
+        pick = turn == n if turn.any() else slice(None)
+        out[keys[pick]] += values[pick]
 
 
 def validate_model(model: BottModel) -> list[Diagnostic]:
@@ -311,108 +329,136 @@ def validate_model(model: BottModel) -> list[Diagnostic]:
     Checks the tier ordering of the block list, id uniqueness, non-decreasing
     critical values (ties within a tier are fine, list order breaks them),
     word well-formedness, and every connection: its points must exist, and
-    connection_kind must license the pair. A pair of non-consecutive index
-    or between two saddle circles gets its own more specific message
-    instead. Generator unitarity is not checked here: Representation's
-    constructor rejects a generator with defect above UNITARY_TOL and
-    freezes each one.
-    """
-    diags: list[Diagnostic] = []
-    rep = model.representation
+    _LICENSED must license the pair, as a d1 or a d2 component. A pair of
+    non-consecutive index or between two saddle circles gets its own more
+    specific message instead. Generator unitarity is not checked here:
+    Representation's constructor rejects a generator with defect above
+    UNITARY_TOL and freezes each one.
 
-    seen = set()
-    last_tier = -1
-    last_value = -math.inf
-    for b in model.blocks:
+    The checks read each block's tier once. For a valid model the (empty)
+    list carries what they derived on as the model's _Layout, with the
+    connected components and one evaluate_words walk over the distinct
+    words; ensure_valid returns it. total_torsion, assemble_d1,
+    assemble_complex and expand_morse read it instead of the blocks' tier,
+    level, labels and point_index. It serves one call; no model keeps it.
+    """
+    diags, rep, tiers = _Diagnostics(), model.representation, [b.tier for b in model.blocks]
+    words = dict.fromkeys(_block_words(model.blocks) + [o.word for c in model.connections for o in c.orbits])
+    # word errors are looked for only when some token names no generator
+    unknown = any(split_token(token)[0] not in rep.generators for token in set().union(*words))
+    seen, last_tier, last_value = set(), -1, -math.inf
+    for b, tier in zip(model.blocks, tiers):
         if b.id in seen:
             diags.append(Diagnostic("InvalidInput", b.id, f"duplicate block id {b.id!r}"))
         seen.add(b.id)
-        if b.tier < last_tier:
-            diags.append(
-                Diagnostic(
-                    "ModelOrderError",
-                    b.id,
-                    f"block {b.id} ({_TIER_NAMES[b.tier]}) listed after a "
-                    f"{_TIER_NAMES[last_tier]}",
-                )
-            )
+        if tier < last_tier:
+            message = f"block {b.id} ({_TIER_NAMES[tier]}) listed after a {_TIER_NAMES[last_tier]}"
+            diags.append(Diagnostic("ModelOrderError", b.id, message))
         if b.critical_value < last_value - 1e-12:
-            diags.append(
-                Diagnostic(
-                    "ModelOrderError",
-                    b.id,
-                    f"block {b.id}: critical value {b.critical_value} decreases in list order",
-                )
-            )
-        last_tier = max(last_tier, b.tier)
-        last_value = max(last_value, b.critical_value)
-        words = [b.holonomy] if b.kind == CIRCLE else [b.alpha, b.beta]
-        for word in words:
-            for msg in rep.word_errors(word):
-                diags.append(Diagnostic("InvalidInput", b.id, f"block {b.id}: {msg}"))
+            message = f"block {b.id}: critical value {b.critical_value} decreases in list order"
+            diags.append(Diagnostic("ModelOrderError", b.id, message))
+        last_tier, last_value = max(last_tier, tier), max(last_value, b.critical_value)
+        for word in ([b.holonomy] if b.kind == CIRCLE else [b.alpha, b.beta]) if unknown else ():
+            diags += [Diagnostic("InvalidInput", b.id, f"block {b.id}: {e}") for e in rep.word_errors(word)]
 
-    blocks = model.block_map()
+    # a repeated id names its last block
+    number = {b.id: j for j, b in enumerate(model.blocks)}
+    first = list(itertools.accumulate((len(_POINTS[tier]) for tier in tiers), initial=0))
+    ends = []
     for c, conn in enumerate(model.connections):
-        subject = f"connection[{c}]"
-        ok = True
-        for end, point in (("from", conn.from_point), ("to", conn.to_point)):
-            bid, label = point
-            if bid not in blocks:
+        subject, found = f"connection[{c}]", []
+        for end, (bid, label) in (("from", conn.from_point), ("to", conn.to_point)):
+            j = number.get(bid)
+            if j is None:
                 diags.append(Diagnostic("InvalidInput", subject, f"{end} references unknown block {bid!r}"))
-                ok = False
-            elif label not in blocks[bid].labels():
-                diags.append(
-                    Diagnostic(
-                        "InvalidInput",
-                        subject,
-                        f"{end} point {bid}.{label}: {blocks[bid].kind} blocks have labels "
-                        f"{'/'.join(blocks[bid].labels())}",
-                    )
-                )
-                ok = False
-        if not ok:
+            elif label not in _POINTS[tiers[j]]:
+                message = f"{model.blocks[j].kind} blocks have labels {'/'.join(_POINTS[tiers[j]])}"
+                diags.append(Diagnostic("InvalidInput", subject, f"{end} point {bid}.{label}: {message}"))
+            else:
+                found.append((j, tiers[j], label))
+        if len(found) < 2:
             continue
-        hi = blocks[conn.from_point[0]]
-        lo = blocks[conn.to_point[0]]
-        hi_index = hi.point_index(conn.from_point[1])
-        lo_index = lo.point_index(conn.to_point[1])
-        specific = len(diags)
+        (hi, hi_tier, hi_label), (lo, lo_tier, lo_label) = found
+        hi_index, lo_index = _POINTS[hi_tier][hi_label], _POINTS[lo_tier][lo_label]
+        kind = _LICENSED.get(((lo_tier, lo_label), (hi_tier, hi_label)))
+        hi_id, lo_id = conn.from_point[0], conn.to_point[0]
         if hi_index != lo_index + 1:
-            diags.append(
-                Diagnostic(
-                    "IllegalConnection",
-                    subject,
-                    f"{conn.from_point[0]}.{conn.from_point[1]} (index {hi_index}) -> "
-                    f"{conn.to_point[0]}.{conn.to_point[1]} (index {lo_index}): gradient "
-                    f"orbits join points of consecutive index",
-                )
+            message = f"{hi_id}.{hi_label} (index {hi_index}) -> {lo_id}.{lo_label} (index {lo_index})"
+            message += ": gradient orbits join points of consecutive index"
+            diags.append(Diagnostic("IllegalConnection", subject, message))
+        if hi_tier == lo_tier == _TIER_SADDLE:
+            message = f"connection between saddle circles {hi_id} and {lo_id}"
+            diags.append(Diagnostic("AssumptionViolated", subject, message))
+        elif kind is not None:
+            ends.append((first[lo] + _SLOT[lo_tier][lo_label], first[hi] + _SLOT[hi_tier][hi_label]))
+        elif hi_index == lo_index + 1:
+            message = (
+                f"connection {hi_id}.{hi_label} -> {lo_id}.{lo_label}: no differential component is "
+                f"induced between a {_TIER_NAMES[lo_tier]} point '{lo_label}' and a "
+                f"{_TIER_NAMES[hi_tier]} point '{hi_label}'"
             )
-        if hi.tier == _TIER_SADDLE and lo.tier == _TIER_SADDLE:
-            diags.append(
-                Diagnostic(
-                    "AssumptionViolated",
-                    subject,
-                    f"connection between saddle circles {hi.id} and {lo.id}",
-                )
-            )
-        if len(diags) == specific:
-            try:
-                connection_kind(blocks, conn)
-            except IllegalConnection as err:
-                diags.append(Diagnostic("IllegalConnection", subject, str(err)))
-        for orbit in conn.orbits:
-            for msg in rep.word_errors(orbit.word):
-                diags.append(Diagnostic("InvalidInput", subject, msg))
+            diags.append(Diagnostic("IllegalConnection", subject, message))
+        for orbit in conn.orbits if unknown else ():
+            diags += [Diagnostic("InvalidInput", subject, e) for e in rep.word_errors(orbit.word)]
+    if not diags:
+        diags.layout = _layout(model, tiers, first, ends, dict(zip(words, rep.evaluate_words(words))))
     return diags
 
 
-def ensure_valid(model: BottModel) -> None:
-    """Raise the error class of the first diagnostic, message listing them all."""
+def _layout(model: BottModel, tiers: list, first: list, ends: list, values: dict) -> _Layout:
+    """The _Layout of a valid model from validate_model's findings: each
+    block's first point, each connection's (source, target) points and rho
+    of every distinct word. A licensed pair's kind is its level gap."""
+    first = np.array(first)
+    block = np.repeat(np.arange(len(tiers)), np.diff(first))
+    index = np.array([k for tier in tiers for k in _POINTS[tier].values()], dtype=int)
+    pairs = {pair: j for j, pair in enumerate(dict.fromkeys(ends))}
+    source, target = np.array(list(pairs), dtype=int).reshape(-1, 2).T
+    # union-find over the pairs, the smaller root kept: a component's root
+    # is its first block, so the components count up in model order
+    parent = list(range(len(tiers)))
+
+    def root(j):
+        while parent[j] != j:
+            parent[j] = j = parent[parent[j]]
+        return j
+
+    for a, b in zip(block[source].tolist(), block[target].tolist()):
+        a, b = root(a), root(b)
+        parent[max(a, b)] = min(a, b)
+    roots = np.array(parent, dtype=int)
+    while (roots[roots] != roots).any():
+        roots = roots[roots]
+    component = np.unique(roots, return_inverse=True)[1].ravel()
+    count = np.zeros((4, component.max(initial=-1) + 1), dtype=int)
+    np.add.at(count, (index, component[block]), 1)
+    # each connection's orbit sum from 0, then each pair's, in order
+    m = model.representation.dim
+    orbits = [(c, o.sign, o.word) for c, conn in enumerate(model.connections) for o in conn.orbits]
+    terms = np.reshape([values[word] for _, _, word in orbits], (-1, m, m))
+    terms *= np.reshape([sign for _, sign, _ in orbits], (-1, 1, 1))
+    per_connection = np.zeros((len(model.connections), m, m), dtype=complex)
+    _add_in_order(per_connection, np.array([c for c, _, _ in orbits], dtype=int), terms)
+    sums = np.zeros((len(pairs), m, m), dtype=complex)
+    _add_in_order(sums, np.array([pairs[pair] for pair in ends], dtype=int), per_connection)
+    level = np.array([_TIER_LEVEL[tier] for tier in tiers], dtype=int)
+    return _Layout(
+        tier=tiers, level=level, component=component, first=first, index=index, block=block,
+        row=_rank_within(index), piece=_rank_within(index * count.shape[1] + component[block]),
+        within=_rank_within(block * 4 + index), count=count, source=source, target=target,
+        gap=level[block[target]] - level[block[source]], sums=sums,
+        values=[values[word] for word in _block_words(model.blocks)],
+    )
+
+
+def ensure_valid(model: BottModel) -> _Layout:
+    """Raise the error class of the first diagnostic, message listing them
+    all; for a valid model, return the layout validation built."""
     diags = validate_model(model)
-    if not diags:
-        return
-    messages = "; ".join(f"[{d.subject}] {d.message}" for d in diags)
-    raise _DIAG_ERRORS.get(diags[0].code, InvalidInput)(messages)
+    if diags:
+        messages = "; ".join(f"[{d.subject}] {d.message}" for d in diags)
+        raise _DIAG_ERRORS.get(diags[0].code, InvalidInput)(messages)
+    return diags.layout
 
 
 # ---------------------------------------------------------------------------
@@ -455,24 +501,33 @@ def block_cohomology(
     return _block_cohomologies([block], rep, tol_rel)[0]
 
 
+def _block_words(blocks: Sequence[CriticalBlock]) -> list:
+    """The block words in the order _block_cohomologies reads their values:
+    circle holonomies, then alpha and beta of each torus / Klein bottle."""
+    return [b.holonomy for b in blocks if b.kind == CIRCLE] + [
+        word for b in blocks if b.kind != CIRCLE for word in (b.alpha, b.beta)
+    ]
+
+
 def _block_cohomologies(
     blocks: Sequence[CriticalBlock],
     rep: Representation,
     tol_rel: float = DEFAULT_TOL,
+    layout: Optional[_Layout] = None,
 ) -> list[BlockCohomology]:
     """block_cohomology of every block, in order, with the first page
-    decided as stacks: every block word (circle holonomies, then alpha and
-    beta of each torus / Klein bottle) is evaluated in one walk, every
-    circle's D is decided in one LAPACK call, and the extremal blocks' D
-    and D* in one call each. Each decision keeps the threshold it would
-    have alone (linalg._rank_nullspaces); only the middle cut of an
-    extremal block, ker D* against im D, is made block by block."""
+    decided as stacks (the word values are the layout's, or one walk's):
+    one LAPACK call for every circle's D, one each for the extremal blocks'
+    D and D*, each at the threshold it would have alone. The circles'
+    kernel checks and log-torsions run per rank over the stack; the middle
+    cut of an extremal block, ker D* against im D, is made block by block."""
+    if layout is None:
+        levels, values = [_TIER_LEVEL[b.tier] for b in blocks], rep.evaluate_words(_block_words(blocks))
+    else:
+        # the layout hands its block word values over: nothing reads them again
+        levels, values, layout.values = layout.level.tolist(), layout.values, None
     circles = [j for j, b in enumerate(blocks) if b.kind == CIRCLE]
     extremals = [j for j, b in enumerate(blocks) if b.kind != CIRCLE]
-    words = [blocks[j].holonomy for j in circles]
-    for j in extremals:
-        words += [blocks[j].alpha, blocks[j].beta]
-    values = rep.evaluate_words(words)
     eye = rep.identity()
     out: list = [None] * len(blocks)
 
@@ -481,8 +536,22 @@ def _block_cohomologies(
         ds = eye - deltas[:, None, None] * np.array(values[: len(circles)])
         # unit-scale anchor: D is built from unitaries, so a holonomy that
         # reduces to the identity must give an honest zero matrix
-        for j, d, res in zip(circles, ds, _rank_nullspaces(ds, tol_rel, scale=1.0)):
-            out[j] = _circle_cohomology(blocks[j], d, res)
+        cut = _cut([ds], tol_rel, 1.0, stacklevel=2)[0]
+        s, vh, ranks = cut[1], cut[2], np.array(cut[4])
+        kept, bad = np.zeros(len(circles)), []
+        for rank in set(cut[4]):
+            pick = np.flatnonzero(ranks == rank)
+            # RankResult.log_kept of each, summed over exactly its kept values
+            kept[pick] = np.log(s[pick, :rank]).sum(axis=1)
+            if rank < rep.dim:
+                # ker D, the right singular vectors past the rank, must lie in ker D
+                d = ds[pick]
+                defect = np.abs(d @ np.swapaxes(vh[pick, rank:].conj(), 1, 2)).max(axis=(1, 2))
+                bad += pick[defect > STRUCT_TOL * np.maximum(1.0, np.abs(d).max(axis=(1, 2)))].tolist()
+        if bad:
+            raise BasisMismatch(f"block {blocks[circles[min(bad)]].id}: kernel basis does not lie in ker D")
+        for j, d, res, log_kept in zip(circles, ds, _results(*cut), kept.tolist()):
+            out[j] = _circle_cohomology(blocks[j], levels[j], d, res, log_kept)
 
     if extremals:
         a = np.array(values[len(circles) :: 2])
@@ -494,48 +563,26 @@ def _block_cohomologies(
         d_stars = np.concatenate([db, a - eye], axis=2)    # C^m q (+) C^m r -> C^m s
         comms = np.abs(a @ b - b @ a).max(axis=(1, 2)).tolist()
         # one rank decision each: ker D, coker D*, and ker D* cut against im D
-        decided = zip(
-            _rank_nullspaces(ds, tol_rel, scale=1.0), _rank_nullspaces(d_stars, tol_rel, scale=1.0)
-        )
+        decided = zip(_rank_nullspaces(ds, tol_rel, scale=1.0), _rank_nullspaces(d_stars, tol_rel, scale=1.0))
         for j, d, d_star, comm, (res, res_star) in zip(extremals, ds, d_stars, comms, decided):
-            out[j] = _extremal_cohomology(blocks[j], d, d_star, comm, res, res_star, tol_rel)
+            out[j] = _extremal_cohomology(blocks[j], levels[j], d, d_star, comm, res, res_star, tol_rel)
     return out
 
 
-def _circle_cohomology(block: CriticalBlock, d: np.ndarray, res: RankResult) -> BlockCohomology:
+def _circle_cohomology(block, level: int, d: np.ndarray, res: RankResult, log_kept: float) -> BlockCohomology:
     """A circle's cohomology ker D in degrees n, n + 1 from the rank decision
-    of its D."""
-    n = block.middle_degree
-    ker = res.kernel_basis
-    coker = res.cokernel_basis
-    k = ker.shape[1]
-    if k and np.abs(d @ ker).max() > STRUCT_TOL * max(1.0, float(np.abs(d).max())):
-        raise BasisMismatch(f"block {block.id}: kernel basis does not lie in ker D")
-    dims = {n: k, n + 1: k} if k else {}
-    bases = {n: ker, n + 1: coker}
+    of its D, and its torsion factor from log_kept (res.log_kept)."""
+    n, k = block.index, d.shape[1] - res.rank
     # on the SVD's own kernel and cokernel bases the two-term complex
     # 0 -> C^m -D-> C^m -> 0 has torsion prod of the kept singular values
-    factor = TorsionScalar(
-        modulus_from_log((-1) ** n * res.log_kept, f"block {block.id} torsion factor"),
-        ACYCLIC_NOTE if k == 0 else RELATIVE_NOTE,
-    )
-    return BlockCohomology(
-        block_id=block.id,
-        kind=block.kind,
-        level=block.level,
-        middle=n,
-        D=d,
-        D_star=None,
-        dims=dims,
-        bases=bases,
-        torsion_factor=factor,
-        acyclic=(k == 0),
-        warnings=[],
-        rank_result=res,
-    )
+    modulus = modulus_from_log((-1) ** n * log_kept, f"block {block.id} torsion factor")
+    factor = TorsionScalar(modulus, RELATIVE_NOTE if k else ACYCLIC_NOTE)
+    dims = {n: k, n + 1: k} if k else {}
+    bases = {n: res.kernel_basis, n + 1: res.cokernel_basis}
+    return BlockCohomology(block.id, block.kind, level, n, d, None, dims, bases, factor, not k, [], res)
 
 
-def _extremal_cohomology(block, d, d_star, comm, res, res_star, tol_rel) -> BlockCohomology:
+def _extremal_cohomology(block, level, d, d_star, comm, res, res_star, tol_rel) -> BlockCohomology:
     """A torus / Klein bottle's cohomology ker D, ker D* /\\ (im D)^perp,
     coker D* in degrees n - 1, n, n + 1 from the decisions of D and D*;
     comm is max |rho(alpha) rho(beta) - rho(beta) rho(alpha)|."""
@@ -554,19 +601,8 @@ def _extremal_cohomology(block, d, d_star, comm, res, res_star, tol_rel) -> Bloc
             dims[degree] = basis.shape[1]
     bases = {n - 1: ker, n: middle_basis, n + 1: top}
     acyclic = not dims
-    return BlockCohomology(
-        block_id=block.id,
-        kind=block.kind,
-        level=block.level,
-        middle=n,
-        D=d,
-        D_star=d_star,
-        dims=dims,
-        bases=bases,
-        torsion_factor=TorsionScalar(1.0, ACYCLIC_NOTE if acyclic else RELATIVE_NOTE),
-        acyclic=acyclic,
-        warnings=warn,
-    )
+    factor = TorsionScalar(1.0, ACYCLIC_NOTE if acyclic else RELATIVE_NOTE)
+    return BlockCohomology(block.id, block.kind, level, n, d, d_star, dims, bases, factor, acyclic, warn)
 
 
 # ---------------------------------------------------------------------------
@@ -598,50 +634,47 @@ def expand_morse(model: BottModel) -> MorseData:
     Klein bottle yields p, q, r, s of indices 0, 1, 1, 2 (minimal) or
     1, 2, 2, 3 (maximal).
     """
-    ensure_valid(model)
+    layout = ensure_valid(model)
     points: list[list[MorsePoint]] = [[], [], [], []]
     slot: dict = {}
-    for block in model.blocks:
-        for label in block.labels():
-            index = block.point_index(label)
+    for block, tier in zip(model.blocks, layout.tier):
+        for label, index in _POINTS[tier].items():
             slot[(block.id, label)] = (index, len(points[index]))
             points[index].append(MorsePoint(block.id, label, index))
-    return MorseData(points=tuple(tuple(p) for p in points), slot=slot)
+    return MorseData(points=tuple(map(tuple, points)), slot=slot)
 
 
-def _block_internal_components(block: CriticalBlock, coh: BlockCohomology):
-    """Within-block cochain components as (src label, dst label, matrix)."""
-    if block.kind == CIRCLE:
-        return [("w", "z", coh.D)]
-    half = coh.D.shape[1]
-    return [
-        ("p", "q", coh.D[:half]),
-        ("p", "r", coh.D[half:]),
-        ("q", "s", coh.D_star[:, :half]),
-        ("r", "s", coh.D_star[:, half:]),
-    ]
-
-
-def _morse_differential(model: BottModel, cohomologies) -> list:
-    """The Morse differential as m x m blocks, grouped by source degree k:
-    out[k] maps (target point, source point), a point being (block id,
-    label), to the within-block matrix or the connection orbit sum, summed
-    where one pair carries several. The model has been validated, so every
-    pair is licensed."""
-    rep = model.representation
-    blocks = model.block_map()
-    out: list = [{} for _ in range(3)]
-
-    def add(k, key, mat):
-        out[k][key] = out[k][key] + mat if key in out[k] else mat
-
-    for block, coh in zip(model.blocks, cohomologies):
-        for src, dst, mat in _block_internal_components(block, coh):
-            add(block.point_index(src), ((block.id, dst), (block.id, src)), mat)
-    for conn in model.connections:
-        k = blocks[conn.to_point[0]].point_index(conn.to_point[1])
-        add(k, (conn.from_point, conn.to_point), conn.matrix(rep))
+def _morse_differential(layout: _Layout, cohomologies) -> list:
+    """The Morse differential as m x m blocks, by source degree k: out[k] is
+    (targets, sources, blocks), two arrays of point numbers and a list of
+    the blocks (the cohomologies' and the layout's own arrays, not copies).
+    The within-block matrices come first, block by block in model order,
+    then the orbit sums of the supplied pairs of degree k; no pair repeats."""
+    within: list = [[], [], []]
+    for p, coh in zip(layout.first.tolist(), cohomologies):
+        n, d, d_star, half = coh.middle, coh.D, coh.D_star, coh.D.shape[1]
+        # w -> z through D; p -> q, p -> r through D, q -> s, r -> s through D*
+        if coh.kind == CIRCLE:
+            within[n].append((p + 1, p, d))
+        else:
+            within[n - 1] += [(p + 1, p, d[:half]), (p + 2, p, d[half:])]
+            within[n] += [(p + 3, p + 1, d_star[:, :half]), (p + 3, p + 2, d_star[:, half:])]
+    degree, out = layout.index[layout.source], []
+    for k, entries in enumerate(within):
+        targets, sources, mats = zip(*entries) if entries else ((), (), ())
+        pick = np.flatnonzero(degree == k)
+        out.append((
+            np.concatenate([np.array(targets, dtype=int), layout.target[pick]]),
+            np.concatenate([np.array(sources, dtype=int), layout.source[pick]]),
+            [*mats, *(layout.sums[i] for i in pick.tolist())],
+        ))
     return out
+
+
+def _fibers(rows: np.ndarray, cols: np.ndarray, m: int) -> tuple:
+    """Index arrays placing the m x m block e at fiber rows[e], cols[e]."""
+    span = np.arange(m)
+    return (rows * m)[:, None, None] + span[:, None], (cols * m)[:, None, None] + span
 
 
 def _not_a_complex(detail: str, cohomologies) -> NotAComplex:
@@ -655,93 +688,57 @@ def _not_a_complex(detail: str, cohomologies) -> NotAComplex:
 
 def _check_square_zero(diff: list, cohomologies) -> None:
     """d*d = 0 on the nonzero block products: BasedComplex's entrywise test
-    at its global scale max|d^(k+1)| max|d^k|, without forming d."""
-    top = [float(np.abs(np.array(list(pairs.values()))).max()) if pairs else 0.0 for pairs in diff]
+    at its global scale max|d^(k+1)| max|d^k|, without forming d. The
+    products of every path source -> middle -> target are summed per
+    (target, source) in the order of the first step, then of the second."""
+    top = [float(np.abs(mats).max()) if mats else 0.0 for _, _, mats in diff]
     for k in range(2):
-        outgoing = defaultdict(list)
-        for (dst, src), mat in diff[k + 1].items():
-            outgoing[src].append((dst, mat))
-        products: dict = {}
-        for (mid, src), mat in diff[k].items():
-            for dst, after in outgoing.get(mid, ()):
-                term = after @ mat
-                products[(dst, src)] = products[(dst, src)] + term if (dst, src) in products else term
-        scale = max(1.0, top[k + 1] * top[k])
-        defect = float(np.abs(np.array(list(products.values()))).max()) if products else 0.0
+        (middle, source, first), (target, after, second) = diff[k], diff[k + 1]
+        order = np.argsort(after, kind="stable")
+        lo, hi = np.searchsorted(after[order], middle, "left"), np.searchsorted(after[order], middle, "right")
+        a = np.repeat(np.arange(len(middle)), hi - lo)
+        b = order[np.arange(len(a)) + np.repeat(lo - np.cumsum(hi - lo) + (hi - lo), hi - lo)]
+        defect, scale = 0.0, max(1.0, top[k + 1] * top[k])
+        if len(a):
+            keys, which = np.unique(target[b] * (int(source.max()) + 1) + source[a], return_inverse=True)
+            products = np.array([second[j] for j in b.tolist()]) @ np.array([first[i] for i in a.tolist()])
+            sums = np.zeros((len(keys),) + products.shape[1:], dtype=complex)
+            _add_in_order(sums, which.ravel(), products)
+            defect = float(np.abs(sums).max())
         if defect > STRUCT_TOL * scale:
-            raise _not_a_complex(
-                f"d^{k + 1} d^{k} has max entry {defect:.3e} (scale {scale:.3e})", cohomologies
-            )
+            message = f"d^{k + 1} d^{k} has max entry {defect:.3e} (scale {scale:.3e})"
+            raise _not_a_complex(message, cohomologies)
 
 
-def _components(model: BottModel) -> dict:
-    """The connected component of each block, by block id: union-find over
-    the connections. Labels count up from 0 in the order of each
-    component's first block in model order."""
-    index = {b.id: j for j, b in enumerate(model.blocks)}
-    parent = list(range(len(model.blocks)))
-
-    def root(j):
-        while parent[j] != j:
-            parent[j] = j = parent[parent[j]]
-        return j
-
-    for conn in model.connections:
-        a, b = root(index[conn.from_point[0]]), root(index[conn.to_point[0]])
-        # the smaller index is the root, so a component's root is its first block
-        parent[max(a, b)] = min(a, b)
-    labels: dict = {}
-    return {b.id: labels.setdefault(root(j), len(labels)) for j, b in enumerate(model.blocks)}
-
-
-def _morse_anchor(diff: list, component: dict) -> float:
+def _morse_anchor(diff: list, layout: _Layout) -> float:
     """max(1, operator norm of the Morse differential), the anchor of the
     rank decisions on the Morse complex and on its pages.
 
     No block of the differential joins two connected components, so each
-    degree is the direct sum of its components' pieces and its norm is the
-    largest of theirs. Each piece fills a dense matrix of its own, the
-    pieces of one shape (over all degrees) one stack, and
-    linalg._largest_norm takes the largest norm from Gram matrices, one
-    eigvalsh call per Gram size.
+    degree k is the direct sum of its components' pieces (rows: the
+    component's index-(k + 1) points, columns: its index-k points, in the
+    layout's piece order), and its norm is the largest of theirs. Each
+    piece fills a dense matrix of its own, the pieces of one shape (over
+    all degrees) one stack, and linalg._largest_norm takes the largest
+    norm from Gram matrices, one eigvalsh call per Gram size.
     """
-    # a point's position among its piece's points, rows then columns; a
-    # point has one Morse index, so it lies in one degree on each side
-    at: tuple = ({}, {})
-    count: dict = defaultdict(lambda: [0, 0])
-    where, mats = [], []
-    for k, pairs in enumerate(diff):
-        for (dst, src), mat in pairs.items():
-            piece = (k, component[src[0]])
-            for side, point in enumerate((dst, src)):
-                if point not in at[side]:
-                    at[side][point] = count[piece][side]
-                    count[piece][side] += 1
-            where.append((piece, at[0][dst], at[1][src]))
-            mats.append(mat)
-    if not mats:
+    targets, sources = (np.concatenate(parts) for parts in list(zip(*diff))[:2])
+    mats = np.array([mat for _, _, part in diff for mat in part])
+    if not len(mats):
         return 1.0
-    shapes: dict = defaultdict(list)
-    slot = {}
-    for piece, shape in count.items():
-        slot[piece] = len(shapes[tuple(shape)])
-        shapes[tuple(shape)].append(piece)
-    group = {shape: g for g, shape in enumerate(shapes)}
-    gid, pos, rows, cols = np.array([(group[tuple(count[p])], slot[p], r, c) for p, r, c in where]).T
-    # every block is m x m
-    mats = np.array(mats)
-    m = mats.shape[1]
-    span = np.arange(m)
-    stacks = []
-    for g, ((height, width), pieces) in enumerate(shapes.items()):
-        pick = gid == g
-        stack = np.zeros((len(pieces), height * m, width * m), dtype=complex)
-        stack[
-            pos[pick][:, None, None],
-            (rows[pick] * m)[:, None, None] + span[:, None],
-            (cols[pick] * m)[:, None, None] + span,
-        ] = mats[pick]
-        stacks.append(stack)
+    degree, count = np.repeat(np.arange(3), [len(entry[1]) for entry in diff]), layout.count
+    component = layout.component[layout.block[sources]]
+    pieces, which = np.unique(degree * count.shape[1] + component, return_inverse=True)
+    k, c = np.divmod(pieces, count.shape[1])
+    # a piece's shape in points, (rows, columns) as one number
+    shapes, group = np.unique(count[k + 1, c] * (count.max() + 1) + count[k, c], return_inverse=True)
+    group, which = group.ravel(), which.ravel()
+    at, m, stacks = _rank_within(group)[which], mats.shape[1], []
+    for g, (height, width) in enumerate(zip(*np.divmod(shapes, count.max() + 1))):
+        pick = group[which] == g
+        rows, cols = _fibers(layout.piece[targets[pick]], layout.piece[sources[pick]], m)
+        stacks.append(np.zeros((int((group == g).sum()), height * m, width * m), dtype=complex))
+        stacks[-1][at[pick][:, None, None], rows, cols] = mats[pick]
     return max(1.0, _largest_norm(stacks))
 
 
@@ -752,36 +749,26 @@ def assemble_complex(
 ) -> FilteredComplex:
     """The explicit Morse cochain complex of the model with its filtration.
 
-    Degree k is the direct sum of one C^m fiber per index-k point; the
-    differential carries the within-block matrices plus the connection orbit
-    sums; the filtration level of a fiber is its block's level. This is the
-    dense complex filtered_pages runs on; total_torsion does not form it.
+    Degree k is the direct sum of one C^m fiber per index-k point, in
+    expand_morse's order (the layout's rows); the differential carries the
+    within-block matrices plus the connection orbit sums; the filtration
+    level of a fiber is its block's level. This is the dense complex
+    filtered_pages runs on; total_torsion does not form it.
     """
-    morse = expand_morse(model)
-    rep = model.representation
-    m = rep.dim
+    layout = ensure_valid(model)
+    m = model.representation.dim
     if cohomologies is None:
-        cohomologies = _block_cohomologies(model.blocks, rep, tol_rel)
-    dims = [m * len(morse.points[k]) for k in range(4)]
+        cohomologies = _block_cohomologies(model.blocks, model.representation, tol_rel, layout)
+    dims = (m * np.bincount(layout.index, minlength=4)).tolist()
+    diff = _morse_differential(layout, cohomologies)
     diffs = [np.zeros((dims[k + 1], dims[k]), dtype=complex) for k in range(3)]
-    diff = _morse_differential(model, cohomologies)
-    for k, pairs in enumerate(diff):
-        for (dst, src), mat in pairs.items():
-            _, rows = morse.fiber(m, *dst)
-            _, cols = morse.fiber(m, *src)
-            diffs[k][rows, cols] = mat
-
+    for d, (targets, sources, mats) in zip(diffs, diff):
+        d[_fibers(layout.row[targets], layout.row[sources], m)] = np.reshape(mats, (-1, m, m))
     try:
-        base = BasedComplex(dims, diffs, rank_scale=_morse_anchor(diff, _components(model)))
+        base = BasedComplex(dims, diffs, rank_scale=_morse_anchor(diff, layout))
     except NotAComplex as err:
         raise _not_a_complex(str(err), cohomologies) from err
-    blocks = model.block_map()
-    levels = []
-    for k in range(4):
-        lv = np.zeros(dims[k], dtype=int)
-        for j, point in enumerate(morse.points[k]):
-            lv[j * m : (j + 1) * m] = blocks[point.block_id].level
-        levels.append(lv)
+    levels = [np.repeat(layout.level[layout.block[layout.index == k]], m) for k in range(4)]
     return FilteredComplex(base, levels, 3)
 
 
@@ -798,15 +785,16 @@ class E1Data:
     their first blocks) and within a component by block in model order;
     cols[(level, k)] is the column range of one level, and
     parts[(level, k)] its width in each component, 0 where a component has
-    none (components with no E_1 at all are left out). points[(block id,
-    label)] = (level, k, offset, piece): piece is the point's m fiber rows
-    of its block's degree-k cohomology basis, which fill the slot (level,
-    k) from column offset on. anchor is max(1, operator norm of the Morse
-    differential).
+    none (components with no E_1 at all are left out). width[j, k] is the
+    width of block j's degree-k cohomology basis, and offset[j, k] its
+    first column within the slot (level of block j, k); a point's m fiber
+    rows of that basis (the r point's after q's) fill those columns.
+    anchor is max(1, operator norm of the Morse differential).
     """
 
     cols: dict
-    points: dict
+    width: np.ndarray
+    offset: np.ndarray
     anchor: float
     parts: dict
 
@@ -819,35 +807,23 @@ class E1Data:
         return {(level, k - level): sizes for (level, k), sizes in self.parts.items()}
 
 
-def _build_e1(model, cohomologies, anchor: float, component: dict) -> E1Data:
-    m = model.representation.dim
+def _build_e1(layout: _Layout, cohomologies, anchor: float) -> E1Data:
+    width = [[coh.bases[k].shape[1] if k in coh.bases else 0 for k in range(4)] for coh in cohomologies]
+    width = np.array(width, dtype=int).reshape(-1, 4)
+    # widths per (level, k, component), the components with none dropped
+    per = np.zeros((3, 4, layout.count.shape[1]), dtype=int)
+    np.add.at(per, (layout.level, slice(None), layout.component), width)
+    per = per[:, :, per.any(axis=(0, 1))]
+    size, stop = per.sum(axis=2).tolist(), np.cumsum(per.sum(axis=2), axis=0).tolist()
+    cols = {(lv, k): slice(stop[lv][k] - size[lv][k], stop[lv][k]) for lv in range(3) for k in range(4)}
     # component-major, and model order within a component (a stable sort)
-    order = sorted(zip(model.blocks, cohomologies), key=lambda pair: component[pair[0].id])
-    parts = {(level, k): [0] * len(set(component.values())) for level in range(3) for k in range(4)}
-    for block, coh in order:
-        for k, b in coh.bases.items():
-            parts[(block.level, k)][component[block.id]] += b.shape[1]
-    keep = [c for c, widths in enumerate(zip(*parts.values())) if any(widths)]
-    parts = {key: [sizes[c] for c in keep] for key, sizes in parts.items()}
-    cols = {}
+    order = np.argsort(layout.component, kind="stable")
+    offset = np.zeros_like(width)
     for level in range(3):
-        for k in range(4):
-            start = sum(sum(parts[(lower, k)]) for lower in range(level))
-            cols[(level, k)] = slice(start, start + sum(parts[(level, k)]))
-    offset = Counter()
-    points = {}
-    for block, coh in order:
-        # a degree's basis stacks the fibers of the block's points of that
-        # index in label order (q above r for extremal blocks)
-        level = block.level
-        used = Counter()
-        for label in block.labels():
-            k = block.point_index(label)
-            points[(block.id, label)] = (level, k, offset[(level, k)], coh.bases[k][used[k] : used[k] + m])
-            used[k] += m
-        for k, b in coh.bases.items():
-            offset[(level, k)] += b.shape[1]
-    return E1Data(cols=cols, points=points, anchor=anchor, parts=parts)
+        pick = order[layout.level[order] == level]
+        offset[pick] = np.cumsum(width[pick], axis=0) - width[pick]
+    parts = {(level, k): per[level, k].tolist() for level in range(3) for k in range(4)}
+    return E1Data(cols=cols, width=width, offset=offset, anchor=anchor, parts=parts)
 
 
 @dataclass
@@ -866,18 +842,19 @@ class D1Data:
     warnings: list
 
 
-def _missing_connection_warnings(model: BottModel) -> list[str]:
+def _missing_connection_warnings(model: BottModel, layout: _Layout) -> list[str]:
     """One line per kind (d1, d2) counting the licensed block point pairs with
     no connection data and quoting the first few in model order.
 
-    Blocks are grouped by tier: the count is a product of group sizes less
-    the supplied pairs, and the example scan stops at the first gaps.
+    The missing pairs are the licensed ones less the supplied ones. Blocks
+    are grouped by tier: the count is a product of group sizes less the
+    supplied pairs, and the example scan stops at the first gaps.
     """
     supplied = {(conn.to_point, conn.from_point) for conn in model.connections}
-    tier = {b.id: b.tier for b in model.blocks}
-    by_tier = {t: [] for t in _TIER_NAMES}
-    for bid, t in tier.items():
-        by_tier[t].append(bid)
+    tier = {b.id: t for b, t in zip(model.blocks, layout.tier)}
+    by_tier: dict = {t: [] for t in _TIER_NAMES}
+    for b, t in zip(model.blocks, layout.tier):
+        by_tier[t].append(b.id)
     have = Counter(((tier[lo], a), (tier[hi], b)) for (lo, a), (hi, b) in supplied)
     out = []
     for kind in ("d1", "d2"):
@@ -911,85 +888,85 @@ def assemble_d1(
 ) -> D1Data:
     """First-page differentials from the licensed connection components.
 
-    The Morse differential is held as m x m blocks, one per point pair, and
-    checked for d*d = 0 on the block products. It is reduced once onto the
-    E_1 bases, block by block: a block M from point a to point b adds
+    Every step reads the model's layout (validate_model). The Morse
+    differential is held as m x m blocks, one per point pair, and checked
+    for d*d = 0 on the block products. It is reduced once onto the E_1
+    bases, block by block: a block M from point a to point b adds
     B_b^H M B_a, B the points' rows of the block cohomology bases, and the
     level 0 -> 2 slice also gets the zig-zag -D_out D_s^+ D_in through the
     pseudo-inverse of each saddle's own D (what eliminating the saddle's
     acyclic part leaves behind). The level n -> n + 1 slices are d1;
     assemble_d2 reads the level 0 -> 2 slice. No dense ambient matrix is
-    formed; the anchor, the Morse operator norm, comes from block-summed
+    formed; the anchor, the Morse operator norm, comes from per-component
     Gram matrices. Licensed pairs with no connection default to zero; the
     warnings then hold one summary line per kind (d1, d2) with the number
-    of such pairs and the first few of them. Given cohomologies are the
-    caller's, for a model it has validated (total_torsion passes its own);
-    without them the model is validated here.
+    of such pairs and the first few of them. Given cohomologies must be
+    the blocks' own (block_cohomology); without them they are computed.
     """
+    layout = ensure_valid(model)
     if cohomologies is None:
-        ensure_valid(model)
-        cohomologies = _block_cohomologies(model.blocks, model.representation, tol_rel)
-    diff = _morse_differential(model, cohomologies)
+        cohomologies = _block_cohomologies(model.blocks, model.representation, tol_rel, layout)
+    return _first_page(model, layout, cohomologies)
+
+
+def _first_page(model: BottModel, layout: _Layout, cohomologies) -> D1Data:
+    """assemble_d1 on a validated model's layout."""
+    diff = _morse_differential(layout, cohomologies)
     _check_square_zero(diff, cohomologies)
-    component = _components(model)
-    e1 = _build_e1(model, cohomologies, _morse_anchor(diff, component), component)
-
-    warnings = [w for coh in cohomologies for w in coh.warnings]
-    warnings += _missing_connection_warnings(model)
-
-    blocks, skips = _reduced_operator(model, cohomologies, diff, e1)
-    return D1Data(blocks=blocks, skips=skips, e1=e1, warnings=warnings)
+    e1 = _build_e1(layout, cohomologies, _morse_anchor(diff, layout))
+    warnings = [w for coh in cohomologies for w in coh.warnings] + _missing_connection_warnings(model, layout)
+    return D1Data(*_reduced_operator(layout, cohomologies, e1), e1=e1, warnings=warnings)
 
 
-def _reduced_operator(model, cohomologies, diff, e1) -> tuple:
+def _reduced_operator(layout: _Layout, cohomologies, e1: E1Data) -> tuple:
     """The level-raising slices of E^H (D - D[:, S] h D[S, :]) E, summed
     block by block: (d1 blocks, level 0 -> 2 slices).
 
-    Same-level blocks vanish on the E_1 bases and are skipped. Only degree
-    1 -> 2 has zig-zags: h maps a saddle's z fiber to its w fiber, so they
-    need a level-0 orbit into s.z and a level-2 orbit out of s.w, and they
-    vanish for a saddle with D = 0.
+    Same-level blocks vanish on the E_1 bases, so only the supplied pairs'
+    orbit sums count, each conjugated onto its ends' rows of the block
+    bases. Only degree 1 -> 2 has zig-zags: h maps a saddle's z fiber to
+    its w fiber, so they need a level-0 orbit into s.z and a level-2 orbit
+    out of s.w, and they vanish for a saddle with D = 0.
     """
-    size = e1.dims()
-    blocks = {
-        (level, k - level): np.zeros((size[(level + 1, k - level)], size[(level, k - level)]), dtype=complex)
-        for level in range(2)
-        for k in range(3)
-    }
-    skips = {q: np.zeros((size[(2, q - 1)], size[(0, q)]), dtype=complex) for q in range(3)}
-    into, out_of = defaultdict(list), defaultdict(list)
-    for k, pairs in enumerate(diff):
-        for (dst, src), mat in pairs.items():
-            src_level, _, src_at, src_piece = e1.points[src]
-            dst_level, _, dst_at, dst_piece = e1.points[dst]
-            if k == 1 and src_level == 0:
-                into[dst].append((src, mat))
-            if k == 1 and dst_level == 2:
-                out_of[src].append((dst, mat))
-            if dst_level == src_level or not (src_piece.shape[1] and dst_piece.shape[1]):
-                continue
-            target = blocks[(src_level, k - src_level)] if dst_level == src_level + 1 else skips[k]
-            target[dst_at : dst_at + dst_piece.shape[1], src_at : src_at + src_piece.shape[1]] += (
-                dst_piece.conj().T @ mat @ src_piece
-            )
+    size, m = e1.dims(), layout.sums.shape[1]
+    slices = [(level + 1, k - level, level, k - level) for level in range(2) for k in range(3)]
+    slices += [(2, q - 1, 0, q) for q in range(3)]
+    into = [np.zeros((size[(a, b)], size[(c, d)]), dtype=complex) for a, b, c, d in slices]
+    degree, level = layout.index[layout.source], layout.level[layout.block[layout.source]]
+    # per end (source, target) of each pair: first E_1 column, width, and
+    # the end point's rows of its block's basis
+    at, width, piece = [], [], []
+    for points, k in ((layout.source, degree), (layout.target, degree + 1)):
+        j, row = layout.block[points], m * layout.within[points]
+        at.append(e1.offset[j, k].tolist())
+        width.append(e1.width[j, k].tolist())
+        rows = zip(j.tolist(), k.tolist(), row.tolist())
+        piece.append([cohomologies[b].bases[q][r : r + m] for b, q, r in rows])
+    slot = np.where(layout.gap == 1, 3 * level + degree, 6 + degree).tolist()
+    for i in np.flatnonzero(np.multiply(*width)).tolist():
+        term = piece[1][i].conj().T @ layout.sums[i] @ piece[0][i]
+        into[slot[i]][at[1][i] : at[1][i] + width[1][i], at[0][i] : at[0][i] + width[0][i]] += term
+    blocks, skips = dict(zip([s[2:] for s in slices[:6]], into[:6])), dict(enumerate(into[6:]))
     if not skips[1].size:
         return blocks, skips
-    for block, coh in zip(model.blocks, cohomologies):
+    ins, outs = defaultdict(list), defaultdict(list)
+    for i in np.flatnonzero(degree == 1).tolist():
+        if level[i] == 0:
+            ins[layout.target[i]].append(i)
+        if level[i] + layout.gap[i] == 2:
+            outs[layout.source[i]].append(i)
+    for j, (coh, p) in enumerate(zip(cohomologies, layout.first.tolist())):
         res = coh.rank_result
-        ins, outs = into.get((block.id, "z")), out_of.get((block.id, "w"))
-        if block.tier != _TIER_SADDLE or res.rank == 0 or not (ins and outs):
+        if layout.tier[j] != _TIER_SADDLE or res.rank == 0 or not (ins.get(p + 1) and outs.get(p)):
             continue
         # h = D^+ = V S^-1 U^H = V S^-2 (D V)^H on the kept singular pairs
         v = res.row_basis
         h = (v / res.singular_values[: res.rank] ** 2) @ (coh.D @ v).conj().T
-        for dst, out_mat in outs:
-            _, _, dst_at, dst_piece = e1.points[dst]
-            left = dst_piece.conj().T @ out_mat @ h
-            for src, in_mat in ins:
-                _, _, src_at, src_piece = e1.points[src]
-                skips[1][dst_at : dst_at + dst_piece.shape[1], src_at : src_at + src_piece.shape[1]] -= (
-                    left @ (in_mat @ src_piece)
-                )
+        for i in outs[p]:
+            left = piece[1][i].conj().T @ layout.sums[i] @ h
+            for n in ins[p + 1]:
+                term = left @ (layout.sums[n] @ piece[0][n])
+                skips[1][at[1][i] : at[1][i] + width[1][i], at[0][n] : at[0][n] + width[0][n]] -= term
     return blocks, skips
 
 
@@ -1062,14 +1039,15 @@ def _stage(name: str, model: BottModel):
 def total_torsion(model: BottModel, mode: str = "auto", tol_rel: float = DEFAULT_TOL) -> TorsionReport:
     """Torsion of the isoenergy surface from the block data.
 
-    The first page is decided as stacks (_block_cohomologies): one walk
-    over every block word, one LAPACK call for every circle's D, one each
-    for the extremal blocks' D and D*. mode "fast" uses the determinant
-    product prod |det D_i|^((-1)^u_i), legal only when every block is a
-    circle whose D was found nonsingular at tol_rel; the log |det D_i| then
-    come from one stacked LU (numpy slogdet) and are summed in model order,
-    so no second rank decision is made. mode "full" runs
-    the page-by-page pipeline. mode "auto" runs the full pipeline and
+    The model is validated once; every stage reads the layout validation
+    builds (validate_model), computed afresh for each call. The first page
+    is decided as stacks (_block_cohomologies): one LAPACK call for every
+    circle's D, one each for the extremal blocks' D and D*. mode "fast"
+    uses the determinant product prod |det D_i|^((-1)^u_i), legal only
+    when every block is a circle whose D was found nonsingular at tol_rel;
+    the log |det D_i| then come from one stacked LU (numpy slogdet) and are
+    summed in model order, so no second rank decision is made. mode "full"
+    runs the page-by-page pipeline. mode "auto" runs the full pipeline and
     cross-checks the fast product whenever it is legal; the two logs must
     agree to 1e-8.
 
@@ -1090,12 +1068,10 @@ def total_torsion(model: BottModel, mode: str = "auto", tol_rel: float = DEFAULT
     """
     if mode not in ("auto", "fast", "full"):
         raise InvalidInput(f"mode must be auto, fast or full, got {mode!r}")
-    ensure_valid(model)
+    layout = ensure_valid(model)
     with _stage("block cohomology", model):
-        cohomologies = _block_cohomologies(model.blocks, model.representation, tol_rel)
-    fast_legal = all(
-        b.kind == CIRCLE and coh.acyclic for b, coh in zip(model.blocks, cohomologies)
-    )
+        cohomologies = _block_cohomologies(model.blocks, model.representation, tol_rel, layout)
+    fast_legal = all(b.kind == CIRCLE and coh.acyclic for b, coh in zip(model.blocks, cohomologies))
     if mode == "fast" and not fast_legal:
         offenders = [
             f"{b.id} ({'non-circle' if b.kind != CIRCLE else 'singular D'})"
@@ -1140,13 +1116,11 @@ def total_torsion(model: BottModel, mode: str = "auto", tol_rel: float = DEFAULT
         )
 
     with _stage("first page", model):
-        d1 = assemble_d1(model, cohomologies, tol_rel=tol_rel)
+        d1 = _first_page(model, layout, cohomologies)
         page2 = page_two(d1, tol_rel=tol_rel)
 
-    e1_dims_full = d1.e1.dims()
-    e2_dims_full = {key: b.shape[1] for key, b in page2.bases.items()}
-    e1_dims = {key: n for key, n in e1_dims_full.items() if n}
-    e2_dims = {key: n for key, n in e2_dims_full.items() if n}
+    e1_dims = {key: n for key, n in d1.e1.dims().items() if n}
+    e2_dims = {key: b.shape[1] for key, b in page2.bases.items() if b.shape[1]}
 
     log_d0 = math.fsum(math.log(coh.torsion_factor.modulus) for coh in cohomologies)
     tau_d0_mod = modulus_from_log(log_d0, "tau_d0")

@@ -36,6 +36,11 @@ import numpy as np
 from .errors import BasisMismatch, InvalidInput, NotAComplex, NotExact, TorsionError
 from .linalg import DEFAULT_TOL, as_cmatrix, modulus_from_log, operator_norm, rank_nullspace
 
+__all__ = [
+    "ACYCLIC_NOTE", "RELATIVE_NOTE", "BasedComplex", "TorsionScalar", "cohomology_bases", "cohomology_dims",
+    "complex_torsion", "map_torsion", "ses_torsion", "shifted_complex"
+]
+
 #: basis_note flag values for TorsionScalar
 ACYCLIC_NOTE = "acyclic-canonical"
 RELATIVE_NOTE = "relative-to-computed-cohomology-bases"

@@ -28,6 +28,11 @@ from .errors import InvalidCW, InvalidInput, NotAComplex
 from .linalg import DEFAULT_TOL, operator_norm
 from .representation import Representation, parse_word, split_token
 
+__all__ = [
+    "CWComplex", "circle", "cw_torsion", "elementary_expansion", "klein_bottle", "lens_space", "point",
+    "rp3", "torus", "twisted_cochain"
+]
+
 
 @dataclass(frozen=True)
 class BoundaryTerm:

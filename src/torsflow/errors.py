@@ -1,5 +1,11 @@
 """Exception hierarchy shared by all torsflow modules."""
 
+__all__ = [
+    "AssumptionViolated", "BasisMismatch", "FastPathUnavailable", "IllegalConnection", "InvalidCW",
+    "InvalidFiltration", "InvalidInput", "ModelOrderError", "NotAComplex", "NotExact", "ParseError",
+    "TorsflowError", "TorsionError"
+]
+
 
 class TorsflowError(Exception):
     """Base class for every error raised by this package."""

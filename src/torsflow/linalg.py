@@ -46,6 +46,11 @@ import numpy as np
 
 from .errors import InvalidInput, TorsionError
 
+__all__ = [
+    "DEFAULT_TOL", "AmbiguousRankWarning", "RankResult", "det_modulus", "range_basis", "rank_nullspace",
+    "singular_product"
+]
+
 #: Default relative tolerance for rank decisions, user overridable.
 DEFAULT_TOL = 1e-10
 
@@ -181,14 +186,17 @@ def _cut(stacks, tol_rel: float, scale: float, full: bool = True, stacklevel: in
 def _decide(stacks, tol_rel: float, scale: float, stacklevel: int, whole=None) -> list:
     """The RankResults of every matrix of each stack, per stack (_cut)."""
     stacks = [_as_carray(stack, 3, "matrix") for stack in stacks]
+    return [_results(*cut) for cut in _cut(stacks, tol_rel, scale, True, stacklevel + 1, whole)]
+
+
+def _results(u, s, vh, thresholds, ranks, flags) -> list:
+    """The RankResult of each matrix of one cut stack (_cut's lists); its
+    bases are views of u and of V = vh^H, conjugated once for the stack."""
     return [
-        [
-            # fields in order: rank, kernel, cokernel, row and range bases,
-            # singular values, threshold, ambiguity
-            RankResult(rank, v[rank:].conj().T, u[:, rank:], v[:rank].conj().T, u[:, :rank], s, threshold, flag)
-            for u, s, v, threshold, rank, flag in zip(*cut)
-        ]
-        for cut in _cut(stacks, tol_rel, scale, True, stacklevel + 1, whole)
+        # fields in order: rank, kernel, cokernel, row and range bases,
+        # singular values, threshold, ambiguity
+        RankResult(rank, vj[:, rank:], uj[:, rank:], vj[:, :rank], uj[:, :rank], sj, threshold, flag)
+        for uj, sj, vj, threshold, rank, flag in zip(u, s, vh.conj().transpose(0, 2, 1), thresholds, ranks, flags)
     ]
 
 

@@ -16,6 +16,8 @@ import numpy as np
 from .errors import InvalidInput
 from .linalg import as_cmatrix
 
+__all__ = ["Representation", "trivial_representation"]
+
 UNITARY_TOL = 1e-9
 
 Word = Union[str, Iterable[str]]

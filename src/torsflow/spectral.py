@@ -68,6 +68,8 @@ from .complexes import (
 from .errors import InvalidFiltration, TorsionError
 from .linalg import DEFAULT_TOL, _by_shape, _rank_parts, range_basis, rank_nullspace
 
+__all__ = ["FilteredComplex", "Page", "SpectralResult", "filtered_pages"]
+
 
 class FilteredComplex:
     """A based complex with a decreasing coordinate filtration.

@@ -503,16 +503,24 @@ def disjoint_union(models, rng):
 def e1_ambient(model, e1):
     """The orthonormal E_1 bases in ambient coordinates: entry k is (dim of
     Morse degree k) x (page dimension of degree k), its columns laid out as
-    e1.cols, filled from the per-point fiber pieces e1.points."""
+    e1.cols. Block j's degree-k basis (block_cohomology, deterministic)
+    fills e1.width[j, k] columns from e1.offset[j, k] on, its rows the
+    fibers of the block's index-k points in label order."""
+    from torsflow import block_cohomology
     from torsflow.bott import expand_morse
 
     morse = expand_morse(model)
     m = model.representation.dim
     out = [np.zeros((m * len(morse.points[k]), e1.cols[(2, k)].stop), dtype=complex) for k in range(4)]
-    for (block_id, label), (level, k, offset, piece) in e1.points.items():
-        _, rows = morse.fiber(m, block_id, label)
-        start = e1.cols[(level, k)].start + offset
-        out[k][rows, start : start + piece.shape[1]] = piece
+    for j, block in enumerate(model.blocks):
+        bases = block_cohomology(block, model.representation).bases
+        for k, basis in bases.items():
+            assert basis.shape[1] == e1.width[j, k]
+            start = e1.cols[(block.level, k)].start + e1.offset[j, k]
+            labels = [label for label in block.labels() if block.point_index(label) == k]
+            for n, label in enumerate(labels):
+                _, rows = morse.fiber(m, block.id, label)
+                out[k][rows, start : start + basis.shape[1]] = basis[n * m : (n + 1) * m]
     return out
 
 
@@ -555,3 +563,72 @@ def dense_reduced_operator(model, d1):
         _, z = morse.fiber(m, block.id, "z")
         reduced[1][tgt, src] -= (amb[2][:, tgt].conj().T @ d[:, w]) @ h @ (d[z, :] @ amb[1][:, src])
     return reduced
+
+
+def reference_layout(model):
+    """bott's model layout read off the blocks' own properties (tier,
+    level, labels, point_index), a plain union-find over the connections
+    and block_cohomology. Per block: tier, level, component (numbered by
+    first block). Per Morse point (blocks in model order, labels in label
+    order): index, level, component and row, its position among the points
+    of its index. Per supplied pair in the order of first mention: source
+    and target point, level gap and orbit sum (each connection's sum of
+    sign * rho(word) from 0, then summed per pair in order). Per block and degree k of its cohomology: width and
+    first column within the E_1 slot (its level, k), whose columns run
+    component by component, model order within one; and parts[(level, k)],
+    the slot's width per component, components with no E_1 left out."""
+    from torsflow import block_cohomology
+
+    blocks, rep = model.blocks, model.representation
+    number = {b.id: j for j, b in enumerate(blocks)}
+    points = [(j, label) for j, b in enumerate(blocks) for label in b.labels()]
+    point = {(blocks[j].id, label): p for p, (j, label) in enumerate(points)}
+    parent = list(range(len(blocks)))
+
+    def find(j):
+        while parent[j] != j:
+            j = parent[j]
+        return j
+
+    for conn in model.connections:
+        a, b = find(number[conn.from_point[0]]), find(number[conn.to_point[0]])
+        parent[max(a, b)] = min(a, b)
+    roots = sorted({find(j) for j in range(len(blocks))})
+    component = [roots.index(find(j)) for j in range(len(blocks))]
+    index = [blocks[j].point_index(label) for j, label in points]
+    pairs = {}
+    for conn in model.connections:
+        key = (point[conn.to_point], point[conn.from_point])
+        total = np.zeros((rep.dim, rep.dim), dtype=complex)
+        for orbit in conn.orbits:
+            total = total + orbit.sign * rep.evaluate(orbit.word)
+        pairs[key] = pairs[key] + total if key in pairs else total
+    widths = [{k: basis.shape[1] for k, basis in block_cohomology(b, rep).bases.items()} for b in blocks]
+    offset, parts = {}, {}
+    for level in range(3):
+        for k in range(4):
+            at, sizes = 0, []
+            for c in range(len(roots)):
+                for j, b in enumerate(blocks):
+                    if component[j] == c and b.level == level and k in widths[j]:
+                        offset[(j, k)] = at
+                        at += widths[j][k]
+                sizes.append(at - sum(sizes))
+            parts[(level, k)] = sizes
+    kept = [c for c in range(len(roots)) if any(sizes[c] for sizes in parts.values())]
+    return {
+        "tier": [b.tier for b in blocks],
+        "level": [b.level for b in blocks],
+        "component": component,
+        "index": index,
+        "point_level": [blocks[j].level for j, _ in points],
+        "point_component": [component[j] for j, _ in points],
+        "row": [index[:p].count(index[p]) for p in range(len(points))],
+        "source": [s for s, _ in pairs],
+        "target": [t for _, t in pairs],
+        "gap": [blocks[points[t][0]].level - blocks[points[s][0]].level for s, t in pairs],
+        "sums": list(pairs.values()),
+        "width": {(j, k): w for j, ws in enumerate(widths) for k, w in ws.items()},
+        "offset": offset,
+        "parts": {key: [sizes[c] for c in kept] for key, sizes in parts.items()},
+    }

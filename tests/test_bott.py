@@ -36,6 +36,7 @@ from helpers import (
     quotient_target_model,
     rand_unitary,
     random_circle_model,
+    reference_layout,
     stacked_kernel,
     zigzag_model,
 )
@@ -224,6 +225,50 @@ class TestValidateModel:
     def test_orbit_sign_zero_is_rejected(self):
         with pytest.raises(InvalidInput, match="orbit sign must be"):
             Orbit(0, ("g",))
+
+    def test_every_diagnostic_is_pinned(self):
+        # one fault of each kind in one model: the full list of diagnostics,
+        # in order, and the ensure_valid error class and text, as literals
+        rep = simple_rep()
+        blocks = (
+            CriticalBlock("m1", "circle", 0.0, index=0, delta=1, holonomy=("g",)),
+            CriticalBlock("m2", "circle", 0.0, index=0, delta=1),
+            CriticalBlock("m2", "circle", 0.0, index=0, delta=-1),
+            CriticalBlock("r1", "circle", 1.0, index=1, delta=1, holonomy=("h",)),
+            CriticalBlock("r2", "circle", 0.5, index=1, delta=1, holonomy=("g", "g^-1")),
+            CriticalBlock("n", "circle", 2.0, index=2, delta=1),
+            CriticalBlock("T", "torus", 3.0, extremal="min", alpha=("g",), beta=()),
+        )
+        conns = (
+            GradientConnection(("x", "w"), ("m1", "w"), (Orbit(1, ()),)),
+            GradientConnection(("r1", "w"), ("m1", "p"), (Orbit(1, ("k",)),)),
+            GradientConnection(("n", "w"), ("m1", "w"), (Orbit(1, ()),)),
+            GradientConnection(("r2", "z"), ("r1", "w"), (Orbit(1, ()),)),
+            GradientConnection(("m2", "z"), ("m1", "w"), (Orbit(1, ()),)),
+            GradientConnection(("r1", "w"), ("m1", "w"), (Orbit(1, ("k",)), Orbit(-1, ("g", "k^-1")))),
+        )
+        want = [
+            ("InvalidInput", "m2", "duplicate block id 'm2'"),
+            ("InvalidInput", "r1", "block r1: unknown generator 'h'"),
+            ("ModelOrderError", "r2", "block r2: critical value 0.5 decreases in list order"),
+            ("ModelOrderError", "T", "block T (minimum torus/Klein bottle) listed after a maximum circle"),
+            ("InvalidInput", "connection[0]", "from references unknown block 'x'"),
+            ("InvalidInput", "connection[1]", "to point m1.p: circle blocks have labels w/z"),
+            ("IllegalConnection", "connection[2]",
+             "n.w (index 2) -> m1.w (index 0): gradient orbits join points of consecutive index"),
+            ("AssumptionViolated", "connection[3]", "connection between saddle circles r2 and r1"),
+            ("IllegalConnection", "connection[4]",
+             "connection m2.z -> m1.w: no differential component is induced between a minimum circle "
+             "point 'w' and a minimum circle point 'z'"),
+            ("InvalidInput", "connection[5]", "unknown generator 'k'"),
+            ("InvalidInput", "connection[5]", "unknown generator 'k'"),
+        ]
+        model = BottModel(rep, blocks, conns)
+        assert [(d.code, d.subject, d.message) for d in validate_model(model)] == want
+        with pytest.raises(InvalidInput) as err:
+            ensure_valid(model)
+        assert type(err.value) is InvalidInput
+        assert str(err.value) == "; ".join(f"[{subject}] {message}" for _, subject, message in want)
 
 
 class TestBlockCohomology:
@@ -740,6 +785,27 @@ class TestComputedOnce:
             total_torsion(model, mode=mode)
             assert sorted(calls) == sorted(b.id for b in model.blocks)
 
+    def test_tiers_read_once_and_words_walked_once(self, monkeypatch):
+        # validation reads each block's tier once and walks every word in
+        # one evaluate_words call; no later stage re-derives either
+        from torsflow import bott
+
+        reads, walks = [], []
+        tier = bott.CriticalBlock.tier
+        walk = Representation.evaluate_words
+        monkeypatch.setattr(bott.CriticalBlock, "tier", property(lambda b: reads.append(1) or tier.fget(b)))
+        monkeypatch.setattr(Representation, "evaluate_words", lambda rep, w: walks.append(1) or walk(rep, w))
+        seen = []
+        for k in (1, 4, 16):
+            model = kovalevskaya_replica(k, 1)
+            reads.clear()
+            walks.clear()
+            report = total_torsion(model)
+            assert np.log(report.total.modulus) == pytest.approx(k * np.log(4.0), rel=1e-10)
+            assert len(reads) <= len(model.blocks)
+            seen.append(len(walks))
+        assert seen == [seen[0]] * 3, seen
+
     def test_validated_once(self, monkeypatch):
         from torsflow import bott
 
@@ -1059,6 +1125,63 @@ class TestComponentSplit:
             assert {key: sum(n) for key, n in got.items()} == {key: sum(n) for key, n in want.items()}
         for got, want in zip(split[2:], whole[2:]):
             assert abs(got - want) <= 1e-12
+
+    @pytest.mark.parametrize("name", list(_UNIONS))
+    def test_layout_matches_the_block_properties(self, name):
+        # the layout validation builds, against one read off each block's
+        # own tier, level, labels and point_index, a plain union-find and
+        # block_cohomology; the blocks are shuffled within tiers, so the
+        # components interleave in model order
+        model = disjoint_union(_UNIONS[name], np.random.default_rng(98))
+        want = reference_layout(model)
+        layout = ensure_valid(model)
+        assert layout.tier == want["tier"]
+        got = {
+            "level": layout.level, "component": layout.component, "index": layout.index,
+            "point_level": layout.level[layout.block], "point_component": layout.component[layout.block],
+            "row": layout.row, "source": layout.source, "target": layout.target, "gap": layout.gap,
+        }
+        for key, values in got.items():
+            assert values.tolist() == want[key], key
+        assert len(set(want["component"])) >= len(_UNIONS[name])
+        assert want["component"] != sorted(want["component"])
+        assert len(layout.sums) == len(want["sums"])
+        for mine, theirs in zip(layout.sums, want["sums"]):
+            assert np.array_equal(mine, theirs)
+        e1 = assemble_d1(model).e1
+        assert e1.parts == want["parts"]
+        for (j, k), width in want["width"].items():
+            assert e1.width[j, k] == width
+            assert e1.offset[j, k] == want["offset"][(j, k)], (j, k)
+
+    @pytest.mark.parametrize("seed", [101, 111, 114])
+    def test_repeated_pairs_are_summed_in_order(self, seed):
+        # a pair given by several connections of several orbits each: the
+        # layout's orbit sum is each connection's sum from 0, then their sum,
+        # bit for bit as the loops of the reference give it (at these seeds,
+        # one running sum over all orbits differs)
+        rng = np.random.default_rng(seed)
+        rep = Representation(2, {name: rand_unitary(rng, 2) for name in "abc"})
+        blocks = (
+            CriticalBlock("m", "circle", 0.0, index=0, delta=1, holonomy=("a",)),
+            CriticalBlock("s", "circle", 1.0, index=1, delta=1, holonomy=("b",)),
+        )
+        conns = tuple(
+            GradientConnection(("s", label), ("m", label), tuple(Orbit(sign, word) for sign, word in orbits))
+            for label, orbits in (
+                ("w", [(1, ("a",)), (-1, ("b", "c")), (1, ("c", "a^-1"))]),
+                ("z", [(-1, ("c",))]),
+                ("w", [(-1, ("a", "b")), (1, ())]),
+                ("w", [(1, ("c", "c"))]),
+            )
+        )
+        model = BottModel(rep, blocks, conns)
+        want = reference_layout(model)
+        layout = ensure_valid(model)
+        assert (layout.source.tolist(), layout.target.tolist()) == (want["source"], want["target"])
+        assert len(layout.sums) == 2
+        for mine, theirs in zip(layout.sums, want["sums"]):
+            assert np.array_equal(mine, theirs)
 
     @pytest.mark.parametrize("name", list(_UNIONS))
     def test_union_total_is_the_sum_of_its_copies(self, name):

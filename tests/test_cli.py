@@ -280,3 +280,20 @@ def test_closed_stdout_exits_quietly():
     assert b"Traceback" not in proc.stderr
     assert proc.stderr == b""
     assert proc.returncode == BROKEN_PIPE_EXIT
+
+
+def test_compute_output_does_not_depend_on_the_hash_seed():
+    # the document quotes missing d1 and d2 pairs: an example scan in set
+    # order would quote different pairs under different string hashes
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "torsflow", "compute", "--input", KOVALEVSKAYA, "--format", "json"],
+            capture_output=True, env=env, timeout=120, check=True,
+        )
+        outs.append(proc.stdout)
+    assert b"missing connection for 14 d1 pairs" in outs[0]
+    assert outs[0] == outs[1]

@@ -92,8 +92,9 @@ def test_homeomorphic_lens_spaces_share_their_torsions():
 
 
 def test_block_route_walks_the_orbit_words_once(monkeypatch):
-    # L(97, 54), m = 48: the orbit words t^0 .. t^96 cost 96 products, the
-    # holonomies t and t^9 (9 = 54^-1 mod 97), walked together, 9
+    # L(97, 54), m = 48: the block and orbit words go in one walk, so the
+    # orbit words t^0 .. t^96 cost 96 products and the holonomies t and t^9
+    # (9 = 54^-1 mod 97), prefixes of them, none
     rep = lens_rep(np.random.default_rng(72), 97, 48)[0]
     calls = []
     original = Representation.token_matrix
@@ -104,7 +105,7 @@ def test_block_route_walks_the_orbit_words_once(monkeypatch):
 
     monkeypatch.setattr(Representation, "token_matrix", counted)
     total_torsion(lens_bott_model(97, 54, rep))
-    assert len(calls) == 105
+    assert len(calls) == 96
 
 
 @pytest.mark.parametrize("k, m", [(24, 1), (5, 4), (2, 16)])
